@@ -2,8 +2,8 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-full cover run-quickstart \
-        run-comparison fig10 fig11 full-run spec clean
+.PHONY: all build test test-race bench bench-full bench-json cover \
+        run-quickstart run-comparison fig10 fig11 full-run spec clean
 
 all: build test
 
@@ -24,6 +24,12 @@ bench:
 # Default-duration benchmark pass.
 bench-full:
 	$(GO) test -bench=. -benchmem .
+
+# The repo's benchmark (BENCHMARK.json): six workloads, end-to-end and
+# per-layer metrics in bench/out/BENCH.json, diffed against the last
+# committed baseline.
+bench-json:
+	bash bench/run.sh -baseline bench/results/BENCH_13.json
 
 cover:
 	$(GO) test -cover ./internal/...

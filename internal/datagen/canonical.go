@@ -81,35 +81,34 @@ func (g *Generator) CustomerDirty(key int64) bool {
 // message (the same entity ViennaOrder serializes).
 func (g *Generator) ViennaOrderEntity(i int) Order {
 	key := schema.OrderKeys[schema.SysVienna].Lo + int64(i)
-	custKeys := append(g.CustomerKeys(schema.SysBerlinParis), g.CustomerKeys(schema.SysTrondheim)...)
-	prodKeys := g.ProductKeys(schema.RegionEurope)
-	cities := schema.CitiesInRegion(schema.RegionEurope)
-	return g.OrderFor(key, custKeys, prodKeys, cities)
+	p := &g.pools
+	return g.OrderFor(key, p.viennaCust, p.europeProd, p.europeCities)
 }
 
 // HongkongOrderEntity derives the canonical order behind the i-th
-// Hongkong message.
+// Hongkong message. Message orders use keys above the dataset orders of
+// the same range so they never collide with the extracted Hongkong dataset.
 func (g *Generator) HongkongOrderEntity(i int) Order {
 	key := schema.OrderKeys[schema.SysHongkong].Lo + int64(g.OrderCount()) + int64(i)
-	custKeys := g.CustomerKeys(schema.SysHongkong)
-	prodKeys := g.ProductKeys(schema.RegionAsia)
-	cities := []schema.CityRow{*schema.CityByName("Hongkong")}
-	return g.OrderFor(key, custKeys, prodKeys, cities)
+	p := &g.pools
+	return g.OrderFor(key, p.hongkongCust, p.asiaProd, p.hongkong)
 }
 
 // SanDiegoOrderEntity derives the canonical order behind the i-th San
 // Diego message plus whether the serialized message carries an injected
 // schema violation.
 func (g *Generator) SanDiegoOrderEntity(i int) (Order, bool) {
+	o, _, broken := g.sanDiegoOrder(i)
+	return o, broken
+}
+
+// sanDiegoOrder derives the i-th San Diego order, whether its message is
+// broken, and the message's error stream positioned after that draw.
+func (g *Generator) sanDiegoOrder(i int) (Order, RNG, bool) {
 	key := schema.OrderKeys[schema.SysSanDiego].Lo + int64(i)
-	custLo := schema.CustKeys[schema.SysSanDiego].Lo
-	custKeys := make([]int64, g.CustomerCount())
-	for j := range custKeys {
-		custKeys[j] = custLo + int64(j)
-	}
-	prodKeys := g.ProductKeys(schema.RegionAmerica)
-	cities := []schema.CityRow{*schema.CityByName("San Diego")}
-	o := g.OrderFor(key, custKeys, prodKeys, cities)
-	r := g.rng("sandiego-error", fmt.Sprint(i))
-	return o, r.Bool(SanDiegoErrorRate)
+	p := &g.pools
+	o := g.OrderFor(key, p.sanDiegoCust, p.americaProd, p.sanDiego)
+	r := g.indexRNG("sandiego-error", i)
+	broken := r.Bool(SanDiegoErrorRate)
+	return o, r, broken
 }

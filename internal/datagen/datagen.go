@@ -76,7 +76,18 @@ var epoch = time.Date(2008, 1, 1, 0, 0, 0, 0, time.UTC)
 // Generator produces the synthetic datasets and messages of one benchmark
 // period. All output is a pure function of the Config.
 type Generator struct {
-	cfg Config
+	cfg    Config
+	period seedHash // seed with the "period-<k>" label folded in
+	pools  msgPools
+}
+
+// msgPools are the candidate pools the E1 messages draw from. They depend
+// only on the Config, so New builds them once per period and the message
+// generators share them read-only.
+type msgPools struct {
+	viennaCust, hongkongCust, sanDiegoCust, beijingCust []int64
+	europeProd, asiaProd, americaProd                   []int64
+	europeCities, hongkong, sanDiego                    []schema.CityRow
 }
 
 // New creates a Generator; the Config must validate.
@@ -84,7 +95,25 @@ func New(cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Generator{cfg: cfg}, nil
+	g := &Generator{cfg: cfg, period: newSeedHash(cfg.Seed).intLabel("period-", int64(cfg.Period))}
+	custLo := schema.CustKeys[schema.SysSanDiego].Lo
+	sanDiegoCust := make([]int64, g.CustomerCount())
+	for j := range sanDiegoCust {
+		sanDiegoCust[j] = custLo + int64(j)
+	}
+	g.pools = msgPools{
+		viennaCust:   append(g.CustomerKeys(schema.SysBerlinParis), g.CustomerKeys(schema.SysTrondheim)...),
+		hongkongCust: g.CustomerKeys(schema.SysHongkong),
+		sanDiegoCust: sanDiegoCust,
+		beijingCust:  g.CustomerKeys(schema.SysBeijing),
+		europeProd:   g.ProductKeys(schema.RegionEurope),
+		asiaProd:     g.ProductKeys(schema.RegionAsia),
+		americaProd:  g.ProductKeys(schema.RegionAmerica),
+		europeCities: schema.CitiesInRegion(schema.RegionEurope),
+		hongkong:     []schema.CityRow{*schema.CityByName("Hongkong")},
+		sanDiego:     []schema.CityRow{*schema.CityByName("San Diego")},
+	}
+	return g, nil
 }
 
 // MustNew is New that panics on error.
@@ -120,16 +149,27 @@ func (g *Generator) OrderCount() int { return g.scaled(BaseOrders) }
 // rng derives a fresh deterministic stream for a labelled purpose within
 // the current period.
 func (g *Generator) rng(labels ...string) *RNG {
-	all := append([]string{fmt.Sprintf("period-%d", g.cfg.Period)}, labels...)
-	return NewRNG(DeriveSeed(g.cfg.Seed, all...))
+	h := g.period
+	for _, l := range labels {
+		h = h.label(l)
+	}
+	return NewRNG(uint64(h))
 }
 
-// entityRNG derives the attribute stream of one keyed entity. Attributes
-// are a function of (seed, period, kind, key) only — independent of which
-// source emits the entity — so duplicated keys across sources carry
-// identical attributes and duplicate elimination is well-defined.
-func (g *Generator) entityRNG(kind string, key int64) *RNG {
-	return g.rng(kind, fmt.Sprintf("key-%d", key))
+// indexRNG is rng(kind, strconv.Itoa(i)): the stream of the i-th message
+// of a kind.
+func (g *Generator) indexRNG(kind string, i int) RNG {
+	return RNG{state: uint64(g.period.label(kind).intLabel("", int64(i)))}
+}
+
+// entityRNG derives the attribute stream of one keyed entity, the labels
+// being kind and "key-<key>". Attributes are a function of (seed, period,
+// kind, key) only — independent of which source emits the entity — so
+// duplicated keys across sources carry identical attributes and duplicate
+// elimination is well-defined. It is returned by value so the stream of
+// an entity lives on its caller's stack.
+func (g *Generator) entityRNG(kind string, key int64) RNG {
+	return RNG{state: uint64(g.period.label(kind).intLabel("key-", key))}
 }
 
 // Customer is the canonical generated customer entity; per-source schema
@@ -228,8 +268,8 @@ func (g *Generator) CustomerFor(key int64, cities []schema.CityRow) Customer {
 	r := g.entityRNG("customer", key)
 	c := Customer{
 		Key:     key,
-		Name:    pick(r, g.cfg.Dist, firstNames) + " " + pick(r, g.cfg.Dist, lastNames),
-		Address: fmt.Sprintf("%s %d", pick(r, g.cfg.Dist, streets), 1+r.Intn(200)),
+		Name:    pick(&r, g.cfg.Dist, firstNames) + " " + pick(&r, g.cfg.Dist, lastNames),
+		Address: fmt.Sprintf("%s %d", pick(&r, g.cfg.Dist, streets), 1+r.Intn(200)),
 		Phone:   fmt.Sprintf("+%d-%d-%07d", 1+r.Intn(99), 100+r.Intn(900), r.Intn(10_000_000)),
 	}
 	c.CityKey = cities[r.Index(g.cfg.Dist, len(cities))].Key
@@ -250,7 +290,7 @@ func (g *Generator) ProductFor(key int64) Product {
 	group := schema.ProductGroupCatalog[r.Index(g.cfg.Dist, len(schema.ProductGroupCatalog))]
 	p := Product{
 		Key:      key,
-		Name:     fmt.Sprintf("%s %s %d", pick(r, g.cfg.Dist, brands), group.Name, key),
+		Name:     fmt.Sprintf("%s %s %d", pick(&r, g.cfg.Dist, brands), group.Name, key),
 		Price:    math.Round((5+r.Float64()*995)*100) / 100,
 		GroupKey: group.Key,
 	}

@@ -116,7 +116,8 @@ func (g *Generator) Europe(source string) (*EuropeDataset, error) {
 	for i, key := range custKeys {
 		c := g.CustomerFor(key, cities)
 		city := schema.CityByKey(c.CityKey)
-		comp := 1 + g.entityRNG("company-of", key).Intn(EuropeCompanies)
+		compOf := g.entityRNG("company-of", key)
+		comp := 1 + compOf.Intn(EuropeCompanies)
 		custRows[i] = rel.Row{
 			rel.NewInt(c.Key), rel.NewString(c.Name), rel.NewString(c.Address),
 			rel.NewInt(int64(comp)), rel.NewInt(c.CityKey), rel.NewString(c.Phone),

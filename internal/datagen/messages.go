@@ -21,12 +21,7 @@ const SanDiegoErrorRate = 0.12
 // (process type P04). Customer references point into the Europe sources
 // so the enrichment step can resolve them.
 func (g *Generator) ViennaOrder(i int) *x.Node {
-	key := schema.OrderKeys[schema.SysVienna].Lo + int64(i)
-	custKeys := append(g.CustomerKeys(schema.SysBerlinParis), g.CustomerKeys(schema.SysTrondheim)...)
-	prodKeys := g.ProductKeys(schema.RegionEurope)
-	cities := schema.CitiesInRegion(schema.RegionEurope)
-	o := g.OrderFor(key, custKeys, prodKeys, cities)
-
+	o := g.ViennaOrderEntity(i)
 	lines := x.New("Lines")
 	for _, l := range o.Lines {
 		lines.Add(x.New("Line",
@@ -44,14 +39,14 @@ func (g *Generator) ViennaOrder(i int) *x.Node {
 			x.NewText("Total", fmt.Sprint(o.Total)),
 		),
 		lines,
-	).SetAttr("id", fmt.Sprint(key))
+	).SetAttr("id", fmt.Sprint(o.Key))
 }
 
 // MDMCustomer generates the i-th MDM_Europe master-data message of the
 // period (process type P02): a customer update routed to Berlin/Paris or
 // Trondheim by the Custkey switch.
 func (g *Generator) MDMCustomer(i int) *x.Node {
-	r := g.rng("mdm", fmt.Sprint(i))
+	r := g.indexRNG("mdm", i)
 	var key int64
 	var cities []schema.CityRow
 	if r.Bool(0.6) {
@@ -78,14 +73,7 @@ func (g *Generator) MDMCustomer(i int) *x.Node {
 
 // HongkongOrder generates the i-th Hongkong order message (process P08).
 func (g *Generator) HongkongOrder(i int) *x.Node {
-	// Message orders use keys above the dataset orders of the same range
-	// so they never collide with the extracted Hongkong dataset.
-	key := schema.OrderKeys[schema.SysHongkong].Lo + int64(g.OrderCount()) + int64(i)
-	custKeys := g.CustomerKeys(schema.SysHongkong)
-	prodKeys := g.ProductKeys(schema.RegionAsia)
-	cities := []schema.CityRow{*schema.CityByName("Hongkong")}
-	o := g.OrderFor(key, custKeys, prodKeys, cities)
-
+	o := g.HongkongOrderEntity(i)
 	positions := x.New("Positions")
 	for _, l := range o.Lines {
 		positions.Add(x.New("Pos",
@@ -110,16 +98,7 @@ func (g *Generator) HongkongOrder(i int) *x.Node {
 // the P10 validation must divert to the failed-data destination. The
 // second return value reports whether the message was generated broken.
 func (g *Generator) SanDiegoOrder(i int) (*x.Node, bool) {
-	key := schema.OrderKeys[schema.SysSanDiego].Lo + int64(i)
-	custLo := schema.CustKeys[schema.SysSanDiego].Lo
-	custKeys := make([]int64, g.CustomerCount())
-	for j := range custKeys {
-		custKeys[j] = custLo + int64(j)
-	}
-	prodKeys := g.ProductKeys(schema.RegionAmerica)
-	cities := []schema.CityRow{*schema.CityByName("San Diego")}
-	o := g.OrderFor(key, custKeys, prodKeys, cities)
-
+	o, r, broken := g.sanDiegoOrder(i)
 	items := x.New("Items")
 	for _, l := range o.Lines {
 		items.Add(x.New("Item",
@@ -137,8 +116,7 @@ func (g *Generator) SanDiegoOrder(i int) (*x.Node, bool) {
 		x.NewText("Sum", fmt.Sprint(o.Total)),
 		items,
 	)
-	r := g.rng("sandiego-error", fmt.Sprint(i))
-	if !r.Bool(SanDiegoErrorRate) {
+	if !broken {
 		return doc, false
 	}
 	// Inject one of four schema violations, deterministically per message.
@@ -169,7 +147,7 @@ func removeChild(children []*x.Node, name string) []*x.Node {
 // message (process P01): a customer in Beijing spelling, to be translated
 // to the Seoul schema and sent to Seoul.
 func (g *Generator) BeijingCustomerMsg(i int) *x.Node {
-	keys := g.CustomerKeys(schema.SysBeijing)
+	keys := g.pools.beijingCust
 	key := keys[i%len(keys)]
 	cities := []schema.CityRow{*schema.CityByName("Beijing")}
 	c := g.CustomerFor(key, cities)

@@ -8,7 +8,12 @@
 // master-data cleansing processes.
 package datagen
 
-import "math"
+import (
+	"math"
+	"strconv"
+	"sync"
+	"sync/atomic"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (splitmix64). It is deliberately not math/rand so that generated
@@ -22,16 +27,52 @@ func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 // DeriveSeed mixes a base seed with domain labels so that every
 // (period, source, table) combination gets an independent stream.
 func DeriveSeed(base uint64, labels ...string) uint64 {
-	h := base ^ 0x9E3779B97F4A7C15
+	h := newSeedHash(base)
 	for _, l := range labels {
-		for i := 0; i < len(l); i++ {
-			h ^= uint64(l[i])
-			h *= 0x100000001B3
-		}
-		h ^= 0xFF
-		h *= 0x100000001B3
+		h = h.label(l)
+	}
+	return uint64(h)
+}
+
+// seedHash is the running state of DeriveSeed: each label's bytes are
+// xor-multiplied in, then a 0xFF terminator separates it from the next.
+// Generators fold labels into it piecewise (a fixed prefix, then decimal
+// digits) so hot paths derive seeds without formatting label strings; the
+// bytes folded are exactly those of the formatted label.
+type seedHash uint64
+
+const seedPrime = 0x100000001B3
+
+func newSeedHash(base uint64) seedHash { return seedHash(base ^ 0x9E3779B97F4A7C15) }
+
+// write folds label bytes without ending the label.
+func (h seedHash) write(s string) seedHash {
+	for i := 0; i < len(s); i++ {
+		h ^= seedHash(s[i])
+		h *= seedPrime
 	}
 	return h
+}
+
+// end terminates the current label.
+func (h seedHash) end() seedHash {
+	h ^= 0xFF
+	h *= seedPrime
+	return h
+}
+
+// label folds one complete label.
+func (h seedHash) label(s string) seedHash { return h.write(s).end() }
+
+// intLabel folds the label prefix+strconv.FormatInt(v, 10).
+func (h seedHash) intLabel(prefix string, v int64) seedHash {
+	var buf [20]byte // len("-9223372036854775808")
+	h = h.write(prefix)
+	for _, c := range strconv.AppendInt(buf[:0], v, 10) {
+		h ^= seedHash(c)
+		h *= seedPrime
+	}
+	return h.end()
 }
 
 // Uint64 returns the next 64 random bits.
@@ -134,22 +175,63 @@ func (r *RNG) Index(d Distribution, n int) int {
 }
 
 // zipf draws a Zipf(s=zipfExponent) index in [0, n) by inversion over the
-// harmonic partial sums. n is small in this benchmark (catalog sizes), so
-// the O(n) inversion is fine and keeps the generator dependency-free.
+// harmonic partial sums cum[i] = Σ_{j=1..i+1} j^-s: u is uniform in
+// [0, cum[n-1]) and the draw is the first i with u <= cum[i]. The partial
+// sums do not depend on n (a table for n is a prefix of the table for any
+// larger n), so one shared, append-only table serves every call site and a
+// draw is a binary search. The table is summed in index order with the
+// expression below; that order fixes every float, so it is part of the
+// digest contract.
 func (r *RNG) zipf(n int) int {
-	// Compute (cached would be nicer, but n varies per call site and the
-	// loop is short) the normalization constant.
-	var total float64
-	for i := 1; i <= n; i++ {
-		total += 1 / math.Pow(float64(i), zipfExponent)
-	}
-	u := r.Float64() * total
-	var cum float64
-	for i := 1; i <= n; i++ {
-		cum += 1 / math.Pow(float64(i), zipfExponent)
-		if u <= cum {
-			return i - 1
+	cum := zipfTable(n)[:n]
+	return zipfSearch(cum, r.Float64()*cum[n-1])
+}
+
+// zipfSearch returns the first i with u <= cum[i], or len(cum)-1 if none.
+func zipfSearch(cum []float64, u float64) int {
+	lo, hi := 0, len(cum)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u <= cum[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return n - 1
+	return min(lo, len(cum)-1)
+}
+
+// zipfCum holds the published partial sums; a longer table replaces it
+// whole, so readers never see one being written.
+var (
+	zipfCum  atomic.Pointer[[]float64]
+	zipfGrow sync.Mutex
+)
+
+// zipfTable returns the partial-sum table with at least n entries.
+func zipfTable(n int) []float64 {
+	if t := zipfCum.Load(); t != nil && len(*t) >= n {
+		return *t
+	}
+	zipfGrow.Lock()
+	defer zipfGrow.Unlock()
+	var old []float64
+	if t := zipfCum.Load(); t != nil {
+		if len(*t) >= n {
+			return *t
+		}
+		old = *t
+	}
+	cum := make([]float64, max(n, 2*len(old)))
+	copy(cum, old)
+	var c float64
+	if len(old) > 0 {
+		c = old[len(old)-1]
+	}
+	for i := len(old); i < len(cum); i++ {
+		c += 1 / math.Pow(float64(i+1), zipfExponent)
+		cum[i] = c
+	}
+	zipfCum.Store(&cum)
+	return cum
 }

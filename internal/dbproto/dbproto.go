@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/httpsrv"
 	rel "repro/internal/relational"
 	x "repro/internal/xmlmsg"
 )
@@ -78,8 +79,7 @@ func (t Timeouts) withDefaults() Timeouts {
 // Remote is a running database protocol endpoint.
 type Remote struct {
 	server   *rel.Server
-	http     *http.Server
-	listener net.Listener
+	http     *httpsrv.Server
 	baseURL  string
 	timeouts Timeouts
 
@@ -102,16 +102,10 @@ func ServeWith(server *rel.Server, to Timeouts) (*Remote, error) {
 		return nil, fmt.Errorf("dbproto: listen: %w", err)
 	}
 	to = to.withDefaults()
-	r := &Remote{server: server, listener: ln, baseURL: "http://" + ln.Addr().String(), timeouts: to}
+	r := &Remote{server: server, baseURL: "http://" + ln.Addr().String(), timeouts: to}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/db/", r.dispatch)
-	r.http = &http.Server{
-		Handler:      mux,
-		ReadTimeout:  to.Read,
-		WriteTimeout: to.Write,
-		IdleTimeout:  to.Idle,
-	}
-	go func() { _ = r.http.Serve(ln) }()
+	r.http = httpsrv.Serve(ln, mux, httpsrv.Timeouts{Read: to.Read, Write: to.Write, Idle: to.Idle})
 	return r, nil
 }
 
@@ -142,18 +136,12 @@ func (r *Remote) BaseURL() string { return r.baseURL }
 const CloseTimeout = 5 * time.Second
 
 // Close shuts the endpoint down gracefully: the listener stops accepting
-// immediately, in-flight protocol requests get up to CloseTimeout to
-// finish (a half-written snapshot response would otherwise corrupt a
-// checkpoint read), then stragglers are cut off. Safe to call more than
-// once.
+// immediately, connections that never sent a request are closed, in-flight
+// protocol requests get up to CloseTimeout to finish (a half-written
+// snapshot response would otherwise corrupt a checkpoint read), then
+// stragglers are cut off. Safe to call more than once.
 func (r *Remote) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), CloseTimeout)
-	defer cancel()
-	err := r.http.Shutdown(ctx)
-	if err != nil {
-		_ = r.http.Close()
-	}
-	return err
+	return r.http.Shutdown(CloseTimeout)
 }
 
 // dispatch routes /db/<instance>/<op>.

@@ -1,6 +1,7 @@
 package dbproto
 
 import (
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -260,5 +261,24 @@ func TestQuerySinceOverTheWire(t *testing.T) {
 	}
 	if !d2.Reset || d2.Inserts.Len() != 0 {
 		t.Fatalf("post-truncate delta: %+v", d2)
+	}
+}
+
+func TestCloseDoesNotWaitOnUnusedConnection(t *testing.T) {
+	// A client pool may dial a connection and never send on it; the
+	// drain must not treat it as a request in flight.
+	remote, _, _ := startRemote(t)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(remote.BaseURL(), "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	time.Sleep(50 * time.Millisecond) // let the server accept it
+	start := time.Now()
+	if err := remote.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v with an unused connection open", took)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/httpsrv"
 	rel "repro/internal/relational"
 	x "repro/internal/xmlmsg"
 )
@@ -122,9 +123,8 @@ type Registry struct {
 	delay    time.Duration
 	plan     *fault.Plan
 
-	server   *http.Server
-	listener net.Listener
-	baseURL  string
+	server  *httpsrv.Server
+	baseURL string
 }
 
 // NewRegistry creates an empty registry with an artificial per-call delay
@@ -172,17 +172,12 @@ func (r *Registry) Start() (string, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ws/", r.dispatch)
+	r.baseURL = "http://" + ln.Addr().String()
 	// Peer-protection timeouts: one hung client must not wedge the
 	// application server (same defaults as the dbproto endpoint).
-	r.server = &http.Server{
-		Handler:      mux,
-		ReadTimeout:  15 * time.Second,
-		WriteTimeout: 30 * time.Second,
-		IdleTimeout:  60 * time.Second,
-	}
-	r.listener = ln
-	r.baseURL = "http://" + ln.Addr().String()
-	go func() { _ = r.server.Serve(ln) }()
+	r.server = httpsrv.Serve(ln, mux, httpsrv.Timeouts{
+		Read: 15 * time.Second, Write: 30 * time.Second, Idle: 60 * time.Second,
+	})
 	return r.baseURL, nil
 }
 
@@ -194,26 +189,27 @@ func (r *Registry) BaseURL() string { return r.baseURL }
 const StopTimeout = 5 * time.Second
 
 // Stop shuts the HTTP server down gracefully: admission stops
-// immediately, in-flight requests get up to StopTimeout to complete,
-// then any stragglers are cut off. Safe to call more than once.
+// immediately, connections that never sent a request are closed, in-flight
+// requests get up to StopTimeout to complete, then any stragglers are cut
+// off. Safe to call more than once.
 func (r *Registry) Stop() error {
 	if r.server == nil {
 		return nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), StopTimeout)
-	defer cancel()
-	err := r.server.Shutdown(ctx)
-	if err != nil {
-		// Deadline exceeded with requests still in flight: force-close.
-		_ = r.server.Close()
-	}
-	return err
+	return r.server.Shutdown(StopTimeout)
 }
 
 // dispatch routes /ws/<service>/<op> requests.
 func (r *Registry) dispatch(w http.ResponseWriter, req *http.Request) {
 	// The artificial network delay honours the request context: a
-	// departed client releases the handler goroutine immediately.
+	// departed client releases the handler goroutine immediately. net/http
+	// only notices a departed client once the request body is consumed, so
+	// the body is read first.
+	body, err := io.ReadAll(io.LimitReader(req.Body, 64<<20))
+	if err != nil {
+		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	if fault.Sleep(req.Context(), r.delay) != nil {
 		return
 	}
@@ -229,11 +225,6 @@ func (r *Registry) dispatch(w http.ResponseWriter, req *http.Request) {
 	svc := r.Service(parts[1])
 	if svc == nil {
 		http.Error(w, "unknown service "+parts[1], http.StatusNotFound)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, 64<<20))
-	if err != nil {
-		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	if !fault.InjectHTTP(w, req, r.faultPlan(), "ws/"+strings.ToLower(parts[1]), parts[2], body) {

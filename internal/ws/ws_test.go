@@ -2,6 +2,7 @@ package ws
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -231,4 +232,23 @@ func TestRegistryStopUnblocksPort(t *testing.T) {
 	}
 	// Stop is idempotent via server.Close error being benign.
 	_ = reg.Stop()
+}
+
+func TestStopDoesNotWaitOnUnusedConnection(t *testing.T) {
+	// A client pool may dial a connection and never send on it; the
+	// drain must not treat it as a request in flight.
+	reg, _, url := startRegistry(t, 0)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	time.Sleep(50 * time.Millisecond) // let the server accept it
+	start := time.Now()
+	if err := reg.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Stop took %v with an unused connection open", took)
+	}
 }
