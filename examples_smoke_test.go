@@ -2,30 +2,30 @@ package dipbench
 
 // Smoke tests keeping the runnable examples honest: each example must
 // build, run to completion and print its expected signature output.
-// Skipped under -short (they shell out to `go run`).
+// Skipped under -short (they shell out to `go build`).
 
 import (
+	"context"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
 
+// runExample builds the example package args[0] into a temporary
+// directory and runs the binary with args[1:]. Running the binary itself,
+// not `go run`, means the timeout kills the process doing the work.
 func runExample(t *testing.T, timeout time.Duration, args ...string) string {
 	t.Helper()
-	cmd := exec.Command("go", append([]string{"run"}, args...)...)
-	cmd.Dir = "."
-	done := make(chan struct{})
-	var out []byte
-	var err error
-	go func() {
-		out, err = cmd.CombinedOutput()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		_ = cmd.Process.Kill()
+	bin := filepath.Join(t.TempDir(), filepath.Base(args[0]))
+	if out, err := exec.Command("go", "build", "-o", bin, args[0]).CombinedOutput(); err != nil {
+		t.Fatalf("build %s: %v\n%s", args[0], err, out)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, args[1:]...).CombinedOutput()
+	if ctx.Err() != nil {
 		t.Fatalf("example %v timed out after %v", args, timeout)
 	}
 	if err != nil {

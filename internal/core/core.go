@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -227,8 +228,13 @@ type Benchmark struct {
 	closeErr  error
 }
 
+// built counts New calls, so tests can pin how many benchmarks a run with
+// twin verification builds.
+var built atomic.Int64
+
 // New builds the full benchmark stack from a configuration.
 func New(cfg Config) (*Benchmark, error) {
+	built.Add(1)
 	cfg = cfg.withDefaults()
 	dist, ok := datagen.ParseDistribution(cfg.Distribution)
 	if !ok {
@@ -490,128 +496,46 @@ func (b *Benchmark) RunContext(ctx context.Context) (*Result, error) {
 	b.recordSchedStats()
 	res := &Result{Stats: stats, Report: b.mon.Analyze()}
 	if b.cfg.ChaosVerify {
-		chaos, cerr := b.runChaosTwin(ctx)
-		if cerr != nil {
-			return nil, fmt.Errorf("core: chaos twin run: %w", cerr)
-		}
-		res.Chaos = chaos
+		res.Chaos, err = b.runTwin(ctx, "chaos", "identical to fault-free run", func(*Config) {})
 	}
-	if b.cfg.RecomputeVerify {
-		rv, rerr := b.runRecomputeTwin(ctx)
-		if rerr != nil {
-			return nil, fmt.Errorf("core: recompute twin run: %w", rerr)
-		}
-		res.Recompute = rv
+	if err == nil && b.cfg.RecomputeVerify {
+		res.Recompute, err = b.runTwin(ctx, "recompute", "identical to full-recompute run",
+			func(c *Config) { c.Incremental = "off" })
 	}
-	if b.cfg.ShardVerify {
-		sv, serr := b.runShardTwin(ctx)
-		if serr != nil {
-			return nil, fmt.Errorf("core: shard twin run: %w", serr)
-		}
-		res.Shard = sv
+	if err == nil && b.cfg.ShardVerify {
+		res.Shard, err = b.runTwin(ctx, "shard", "identical to unsharded run",
+			func(c *Config) { c.Shards = 0 })
+	}
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// runChaosTwin executes a fault-free twin of this benchmark's
-// configuration (same seed, scale, engine, periods; no injection, fast
-// clock, no tracing) and compares the integrated data of both runs.
-func (b *Benchmark) runChaosTwin(ctx context.Context) (*driver.VerificationResult, error) {
-	twinCfg := b.cfg
-	twinCfg.FaultRate = 0
-	twinCfg.FaultSeed = 0
-	twinCfg.Resilience = nil
-	twinCfg.ChaosVerify = false
-	twinCfg.FastClock = true
-	twinCfg.Verify = false
-	twinCfg.Trace = false
-	twinCfg.OnPeriod = nil
-	twinCfg.DrainCheck = nil
-	twinCfg.WALDir = ""
-	twinCfg.Fence = nil
-	twinCfg.CheckpointEvery = 0
-	twinCfg.Resume = false
-	twinCfg.CrashAt = ""
-	twin, err := New(twinCfg)
+// runTwin executes a twin of this benchmark's configuration — same seed,
+// scale, engine, periods, maintenance mode, layout and shards, changed
+// only by mutate — and compares the integrated data of both runs. The
+// twin runs on the fast clock with no fault injection, tracing,
+// durability, progress callbacks or verification of its own, so it never
+// starts a twin itself. label names the twin in the result's checks and in
+// errors; okInfo describes a passing comparison.
+func (b *Benchmark) runTwin(ctx context.Context, label, okInfo string, mutate func(*Config)) (*driver.VerificationResult, error) {
+	cfg := b.cfg
+	cfg.FaultRate, cfg.FaultSeed, cfg.Resilience = 0, 0, nil
+	cfg.ChaosVerify, cfg.RecomputeVerify, cfg.ShardVerify = false, false, false
+	cfg.FastClock, cfg.Verify, cfg.MVCheckEvery, cfg.Trace = true, false, 0, false
+	cfg.OnPeriod, cfg.DrainCheck = nil, nil
+	cfg.WALDir, cfg.Fence, cfg.CheckpointEvery, cfg.Resume, cfg.CrashAt = "", nil, 0, false, ""
+	mutate(&cfg)
+	twin, err := New(cfg)
+	if err == nil {
+		defer twin.Close()
+		_, err = twin.RunContext(ctx)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %s twin run: %w", label, err)
 	}
-	defer twin.Close()
-	if _, err := twin.RunContext(ctx); err != nil {
-		return nil, err
-	}
-	return driver.VerifyChaos(b.scn, twin.scn), nil
-}
-
-// runRecomputeTwin executes a full-recompute twin of this benchmark's
-// configuration — same seed, scale, engine, periods, but incremental
-// maintenance forced off and no fault injection — and compares the
-// integrated data of both runs. Delta-driven maintenance is only correct
-// when it is invisible in the data.
-func (b *Benchmark) runRecomputeTwin(ctx context.Context) (*driver.VerificationResult, error) {
-	twinCfg := b.cfg
-	twinCfg.Incremental = "off"
-	twinCfg.RecomputeVerify = false
-	twinCfg.ChaosVerify = false
-	twinCfg.FaultRate = 0
-	twinCfg.FaultSeed = 0
-	twinCfg.Resilience = nil
-	twinCfg.FastClock = true
-	twinCfg.Verify = false
-	twinCfg.MVCheckEvery = 0
-	twinCfg.Trace = false
-	twinCfg.OnPeriod = nil
-	twinCfg.DrainCheck = nil
-	twinCfg.WALDir = ""
-	twinCfg.Fence = nil
-	twinCfg.CheckpointEvery = 0
-	twinCfg.Resume = false
-	twinCfg.CrashAt = ""
-	twin, err := New(twinCfg)
-	if err != nil {
-		return nil, err
-	}
-	defer twin.Close()
-	if _, err := twin.RunContext(ctx); err != nil {
-		return nil, err
-	}
-	return driver.VerifyTwin("recompute", "identical to full-recompute run", b.scn, twin.scn), nil
-}
-
-// runShardTwin executes an unsharded twin of this benchmark's
-// configuration — same seed, scale, engine, periods, maintenance mode and
-// layout, but Shards forced to 0 and no fault injection — and compares
-// the integrated data of both runs. Region sharding is only correct when
-// the shard count is invisible in the data.
-func (b *Benchmark) runShardTwin(ctx context.Context) (*driver.VerificationResult, error) {
-	twinCfg := b.cfg
-	twinCfg.Shards = 0
-	twinCfg.ShardVerify = false
-	twinCfg.ChaosVerify = false
-	twinCfg.RecomputeVerify = false
-	twinCfg.FaultRate = 0
-	twinCfg.FaultSeed = 0
-	twinCfg.Resilience = nil
-	twinCfg.FastClock = true
-	twinCfg.Verify = false
-	twinCfg.MVCheckEvery = 0
-	twinCfg.Trace = false
-	twinCfg.OnPeriod = nil
-	twinCfg.DrainCheck = nil
-	twinCfg.WALDir = ""
-	twinCfg.Fence = nil
-	twinCfg.CheckpointEvery = 0
-	twinCfg.Resume = false
-	twinCfg.CrashAt = ""
-	twin, err := New(twinCfg)
-	if err != nil {
-		return nil, err
-	}
-	defer twin.Close()
-	if _, err := twin.RunContext(ctx); err != nil {
-		return nil, err
-	}
-	return driver.VerifyTwin("shard", "identical to unsharded run", b.scn, twin.scn), nil
+	return driver.VerifyTwin(label, okInfo, b.scn, twin.scn), nil
 }
 
 // recordSchedStats publishes the run's fair-share scheduler accounting

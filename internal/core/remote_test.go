@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/monitor"
+)
 
 // TestEndToEndRemoteDB runs the full benchmark with the database server
 // behind the HTTP protocol boundary: every Invoke of every process crosses
@@ -30,7 +34,9 @@ func TestEndToEndRemoteDB(t *testing.T) {
 		t.Fatalf("verification failed:\n%s", res.Stats.Verification)
 	}
 	// Communication costs must be visibly higher than in-process: compare
-	// the data-intensive P13's Cc against a local run.
+	// the run's total Cc against a local run. The total, not one process's
+	// single instance, so a scheduling pause on a loaded host cannot
+	// outweigh the network round trips.
 	local, err := New(Config{
 		Datasize: 0.004, Periods: 1, Seed: 42,
 		Engine: EnginePipeline, FastClock: true,
@@ -43,11 +49,19 @@ func TestEndToEndRemoteDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteCc := res.Report.ByProcess("P13").AvgCc
-	localCc := lres.Report.ByProcess("P13").AvgCc
+	remoteCc, localCc := totalCc(res.Report), totalCc(lres.Report)
 	if remoteCc <= localCc {
 		t.Errorf("remote Cc %.3f tu not above local %.3f tu", remoteCc, localCc)
 	}
+}
+
+// totalCc sums the communication cost of every instance in the report.
+func totalCc(r *monitor.Report) float64 {
+	total := 0.0
+	for _, s := range r.Stats {
+		total += float64(s.Instances) * s.AvgCc
+	}
+	return total
 }
 
 // TestRemoteAndLocalProduceIdenticalWarehouse compares final warehouse

@@ -79,7 +79,8 @@ func TestShardedMatchesUnshardedRemote(t *testing.T) {
 // stack: a faulty 3-shard run on columnar kernels with incremental
 // maintenance must pass all three built-in twin verifications — the
 // fault-free twin (which inherits Shards 3), the full-recompute twin and
-// the unsharded twin.
+// the unsharded twin. Twins start no twins of their own, so the run
+// builds exactly four benchmarks.
 func TestShardedComposesWithFaultsIncrementalColumnar(t *testing.T) {
 	cfg := Config{
 		Datasize: 0.004, Periods: 2, Seed: 11, FastClock: true,
@@ -87,7 +88,11 @@ func TestShardedComposesWithFaultsIncrementalColumnar(t *testing.T) {
 		Shards: 3, FaultRate: 0.05,
 		ChaosVerify: true, RecomputeVerify: true, ShardVerify: true,
 	}
+	before := built.Load()
 	_, res := runSnapshot(t, cfg)
+	if n := built.Load() - before; n != 4 {
+		t.Errorf("run built %d benchmarks, want 4 (the run and one twin per verification)", n)
+	}
 	if res.Chaos == nil || !res.Chaos.OK() {
 		t.Fatalf("chaos twin failed under sharding:\n%v", res.Chaos)
 	}

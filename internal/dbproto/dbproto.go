@@ -23,22 +23,18 @@
 //	                         crash-recovery checkpoints)
 //
 // Predicates travel as their SQL text (relational.ParsePredicate); typed
-// scalars as text with a type attribute (relational.ParseValue).
+// scalars as text with a type attribute (relational.ParseValue). The
+// package is the XML codec of these operations; transport, routing and
+// fault injection come from the loopback RPC substrate in internal/httpsrv.
 package dbproto
 
 import (
-	"bytes"
 	"context"
 	"encoding/base64"
-	"errors"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/fault"
@@ -47,177 +43,55 @@ import (
 	x "repro/internal/xmlmsg"
 )
 
-// Timeouts bounds how long the endpoint waits on a single connection;
-// they protect the server from hung or slow-drip peers.
-type Timeouts struct {
-	Read  time.Duration // full-request read deadline
-	Write time.Duration // response write deadline
-	Idle  time.Duration // keep-alive idle deadline
-}
-
-// DefaultTimeouts returns the endpoint's standard peer-protection
-// deadlines.
-func DefaultTimeouts() Timeouts {
-	return Timeouts{Read: 15 * time.Second, Write: 30 * time.Second, Idle: 60 * time.Second}
-}
-
-// withDefaults fills unset fields from DefaultTimeouts.
-func (t Timeouts) withDefaults() Timeouts {
-	d := DefaultTimeouts()
-	if t.Read <= 0 {
-		t.Read = d.Read
-	}
-	if t.Write <= 0 {
-		t.Write = d.Write
-	}
-	if t.Idle <= 0 {
-		t.Idle = d.Idle
-	}
-	return t
-}
-
 // Remote is a running database protocol endpoint.
 type Remote struct {
-	server   *rel.Server
-	http     *httpsrv.Server
-	baseURL  string
-	timeouts Timeouts
-
-	mu   sync.RWMutex
-	plan *fault.Plan
+	mux  *httpsrv.Mux[*rel.Conn]
+	http *httpsrv.Server
 }
 
-// Serve binds a loopback listener for the relational server with the
-// default peer-protection timeouts and starts answering protocol
-// requests.
+// Serve binds a loopback listener for the relational server and starts
+// answering protocol requests.
 func Serve(server *rel.Server) (*Remote, error) {
-	return ServeWith(server, DefaultTimeouts())
-}
-
-// ServeWith is Serve with explicit connection timeouts (zero fields fall
-// back to the defaults).
-func ServeWith(server *rel.Server, to Timeouts) (*Remote, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	r := &Remote{mux: &httpsrv.Mux[*rel.Conn]{
+		Prefix:  "db",
+		MaxBody: 128 << 20,
+		// The durability plane is exempt from injection: snapshot and
+		// restore are the harness's own checkpoint traffic, not benchmark
+		// workload — the in-process gateway never injects on them either —
+		// and letting them consume fault-plan occurrences would shift the
+		// workload's deterministic draws with the checkpoint cadence.
+		Exempt: map[string]bool{"snapshot": true, "restore": true},
+		Lookup: server.Connect,
+		Ops: map[string]httpsrv.Op[*rel.Conn]{
+			"query":      handleQuery,
+			"querysince": handleQuerySince,
+			"insert":     func(c *rel.Conn, doc *x.Node) (*x.Node, error) { return handleLoad(c, doc, false) },
+			"upsert":     func(c *rel.Conn, doc *x.Node) (*x.Node, error) { return handleLoad(c, doc, true) },
+			"delete":     handleDelete,
+			"update":     handleUpdate,
+			"call":       handleCall,
+			"snapshot":   handleSnapshot,
+			"restore":    handleRestore,
+		},
+	}}
+	srv, err := httpsrv.Listen(r.mux)
 	if err != nil {
 		return nil, fmt.Errorf("dbproto: listen: %w", err)
 	}
-	to = to.withDefaults()
-	r := &Remote{server: server, baseURL: "http://" + ln.Addr().String(), timeouts: to}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/db/", r.dispatch)
-	r.http = httpsrv.Serve(ln, mux, httpsrv.Timeouts{Read: to.Read, Write: to.Write, Idle: to.Idle})
+	r.http = srv
 	return r, nil
 }
 
-// Timeouts returns the endpoint's effective connection deadlines.
-func (r *Remote) Timeouts() Timeouts { return r.timeouts }
-
 // SetFaultPlan installs (or, with nil, removes) the deterministic fault
 // plan consulted before every dispatched request.
-func (r *Remote) SetFaultPlan(p *fault.Plan) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.plan = p
-}
-
-// faultPlan returns the installed plan (possibly nil; Plan methods are
-// nil-safe).
-func (r *Remote) faultPlan() *fault.Plan {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.plan
-}
+func (r *Remote) SetFaultPlan(p *fault.Plan) { r.mux.SetFaultPlan(p) }
 
 // BaseURL returns the endpoint's base URL.
-func (r *Remote) BaseURL() string { return r.baseURL }
+func (r *Remote) BaseURL() string { return r.http.URL() }
 
-// CloseTimeout bounds the graceful drain Close attempts before falling
-// back to closing connections outright.
-const CloseTimeout = 5 * time.Second
-
-// Close shuts the endpoint down gracefully: the listener stops accepting
-// immediately, connections that never sent a request are closed, in-flight
-// protocol requests get up to CloseTimeout to finish (a half-written
-// snapshot response would otherwise corrupt a checkpoint read), then
-// stragglers are cut off. Safe to call more than once.
-func (r *Remote) Close() error {
-	return r.http.Shutdown(CloseTimeout)
-}
-
-// dispatch routes /db/<instance>/<op>.
-func (r *Remote) dispatch(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	parts := strings.Split(strings.Trim(req.URL.Path, "/"), "/")
-	if len(parts) != 3 {
-		http.Error(w, "expected /db/<instance>/<operation>", http.StatusNotFound)
-		return
-	}
-	conn, err := r.server.Connect(parts[1])
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, 128<<20))
-	if err != nil {
-		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	// The durability plane is exempt from injection: snapshot and restore
-	// are the harness's own checkpoint traffic, not benchmark workload —
-	// the in-process gateway never injects on them either — and letting
-	// them consume fault-plan occurrences would shift the workload's
-	// deterministic draws with the checkpoint cadence.
-	if parts[2] != "snapshot" && parts[2] != "restore" {
-		if !fault.InjectHTTP(w, req, r.faultPlan(), "db/"+strings.ToLower(parts[1]), parts[2], body) {
-			return
-		}
-	}
-	doc, err := x.Parse(bytes.NewReader(body))
-	if err != nil {
-		http.Error(w, "parse: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var result *x.Node
-	switch parts[2] {
-	case "query":
-		result, err = handleQuery(conn, doc)
-	case "querysince":
-		result, err = handleQuerySince(conn, doc)
-	case "insert":
-		result, err = handleLoad(conn, doc, false)
-	case "upsert":
-		result, err = handleLoad(conn, doc, true)
-	case "delete":
-		result, err = handleDelete(conn, doc)
-	case "update":
-		result, err = handleUpdate(conn, doc)
-	case "call":
-		result, err = handleCall(conn, doc)
-	case "snapshot":
-		result, err = handleSnapshot(conn, doc)
-	case "restore":
-		result, err = handleRestore(conn, doc)
-	default:
-		http.Error(w, "unknown operation "+parts[2], http.StatusNotFound)
-		return
-	}
-	if err != nil {
-		// Injected store faults are transient unavailability, not protocol
-		// misuse — answer 503 so clients classify and retry them.
-		var te *fault.TransientError
-		if errors.As(err, &te) {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "application/xml")
-	_ = result.WriteXML(w)
-}
+// Close shuts the endpoint down gracefully (see httpsrv.Server.Close).
+// Safe to call more than once.
+func (r *Remote) Close() error { return r.http.Close() }
 
 // parseWhere parses the optional where attribute; absent means all rows.
 func parseWhere(doc *x.Node) (rel.Predicate, error) {
@@ -478,49 +352,11 @@ func handleRestore(conn *rel.Conn, doc *x.Node) (*x.Node, error) {
 }
 
 // Client talks to one instance through the protocol.
-type Client struct {
-	baseURL  string
-	instance string
-	http     *http.Client
-}
+type Client struct{ rpc httpsrv.Client }
 
 // NewClient creates a protocol client for one database instance.
 func NewClient(baseURL, instance string) *Client {
-	return &Client{baseURL: baseURL, instance: instance,
-		http: &http.Client{Timeout: 60 * time.Second}}
-}
-
-// post sends a document under the context and parses the XML response.
-// Non-200 responses surface as a wrapped fault.HTTPStatusError so the
-// resilience layer can classify 5xx answers as transient.
-func (c *Client) post(ctx context.Context, op string, doc *x.Node) (*x.Node, error) {
-	var buf bytes.Buffer
-	if err := doc.WriteXML(&buf); err != nil {
-		return nil, err
-	}
-	url := fmt.Sprintf("%s/db/%s/%s", c.baseURL, c.instance, op)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, &buf)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/xml")
-	if caller := fault.Caller(ctx); caller != "" {
-		req.Header.Set(fault.CallerHeader, caller)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("dbproto: %s %s: %w", c.instance, op, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("dbproto: %s %s: %w", c.instance, op, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("dbproto: %s %s: %w", c.instance, op,
-			&fault.HTTPStatusError{Status: resp.StatusCode, Body: strings.TrimSpace(string(body))})
-	}
-	return x.Parse(bytes.NewReader(body))
+	return &Client{rpc: httpsrv.NewClient(baseURL, "db", instance, "dbproto", 60*time.Second)}
 }
 
 // QueryContext reads matching rows of a table.
@@ -529,7 +365,7 @@ func (c *Client) QueryContext(ctx context.Context, table string, pred rel.Predic
 	if pred != nil {
 		q.SetAttr("where", pred.String())
 	}
-	doc, err := c.post(ctx, "query", q)
+	doc, err := c.rpc.Post(ctx, "query", q)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +384,7 @@ func (c *Client) QuerySinceContext(ctx context.Context, table string, since uint
 	q := x.New("QuerySince").
 		SetAttr("table", table).
 		SetAttr("since", strconv.FormatUint(since, 10))
-	doc, err := c.post(ctx, "querysince", q)
+	doc, err := c.rpc.Post(ctx, "querysince", q)
 	if err != nil {
 		return nil, err
 	}
@@ -562,7 +398,7 @@ func (c *Client) QuerySince(table string, since uint64) (*rel.Delta, error) {
 
 // InsertContext appends the relation to the table.
 func (c *Client) InsertContext(ctx context.Context, table string, r *rel.Relation) error {
-	_, err := c.post(ctx, "insert", x.FromRelation(table, r))
+	_, err := c.rpc.Post(ctx, "insert", x.FromRelation(table, r))
 	return err
 }
 
@@ -573,7 +409,7 @@ func (c *Client) Insert(table string, r *rel.Relation) error {
 
 // UpsertContext inserts-or-replaces the relation by primary key.
 func (c *Client) UpsertContext(ctx context.Context, table string, r *rel.Relation) error {
-	_, err := c.post(ctx, "upsert", x.FromRelation(table, r))
+	_, err := c.rpc.Post(ctx, "upsert", x.FromRelation(table, r))
 	return err
 }
 
@@ -588,7 +424,7 @@ func (c *Client) DeleteContext(ctx context.Context, table string, pred rel.Predi
 	if pred != nil {
 		d.SetAttr("where", pred.String())
 	}
-	doc, err := c.post(ctx, "delete", d)
+	doc, err := c.rpc.Post(ctx, "delete", d)
 	if err != nil {
 		return 0, err
 	}
@@ -617,7 +453,7 @@ func (c *Client) UpdateContext(ctx context.Context, table string, pred rel.Predi
 	for _, col := range cols {
 		u.Add(encodeValue("Set", set[col]).SetAttr("col", col))
 	}
-	doc, err := c.post(ctx, "update", u)
+	doc, err := c.rpc.Post(ctx, "update", u)
 	if err != nil {
 		return 0, err
 	}
@@ -635,7 +471,7 @@ func (c *Client) CallContext(ctx context.Context, proc string, args ...rel.Value
 	for _, a := range args {
 		call.Add(encodeValue("Arg", a))
 	}
-	doc, err := c.post(ctx, "call", call)
+	doc, err := c.rpc.Post(ctx, "call", call)
 	if err != nil {
 		return nil, err
 	}
@@ -652,7 +488,7 @@ func (c *Client) Call(proc string, args ...rel.Value) (*rel.Relation, error) {
 
 // SnapshotContext serializes the remote instance to a snapshot blob.
 func (c *Client) SnapshotContext(ctx context.Context) ([]byte, error) {
-	doc, err := c.post(ctx, "snapshot", x.New("Snapshot"))
+	doc, err := c.rpc.Post(ctx, "snapshot", x.New("Snapshot"))
 	if err != nil {
 		return nil, err
 	}
@@ -676,7 +512,7 @@ func (c *Client) Snapshot() ([]byte, error) {
 func (c *Client) RestoreContext(ctx context.Context, blob []byte) (int, error) {
 	doc := x.NewText("Restore", base64.StdEncoding.EncodeToString(blob))
 	doc.SetAttr("enc", "base64")
-	resp, err := c.post(ctx, "restore", doc)
+	resp, err := c.rpc.Post(ctx, "restore", doc)
 	if err != nil {
 		return 0, err
 	}

@@ -1,9 +1,6 @@
 package dbproto
 
 import (
-	"net"
-	"net/http"
-	"strings"
 	"testing"
 	"time"
 
@@ -179,33 +176,6 @@ func TestProtocolErrors(t *testing.T) {
 	if _, err := NewClient(remote.BaseURL(), "Atlantis").Query("T", nil); err == nil {
 		t.Error("missing instance")
 	}
-	// Malformed request documents.
-	resp, err := http.Post(remote.BaseURL()+"/db/CDB/query", "application/xml",
-		strings.NewReader("<garbage"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: %d", resp.StatusCode)
-	}
-	resp, err = http.Get(remote.BaseURL() + "/db/CDB/query")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET: %d", resp.StatusCode)
-	}
-	resp, err = http.Post(remote.BaseURL()+"/db/CDB/teleport", "application/xml",
-		strings.NewReader("<X/>"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown op: %d", resp.StatusCode)
-	}
 }
 
 func TestQuerySinceOverTheWire(t *testing.T) {
@@ -261,24 +231,5 @@ func TestQuerySinceOverTheWire(t *testing.T) {
 	}
 	if !d2.Reset || d2.Inserts.Len() != 0 {
 		t.Fatalf("post-truncate delta: %+v", d2)
-	}
-}
-
-func TestCloseDoesNotWaitOnUnusedConnection(t *testing.T) {
-	// A client pool may dial a connection and never send on it; the
-	// drain must not treat it as a request in flight.
-	remote, _, _ := startRemote(t)
-	conn, err := net.Dial("tcp", strings.TrimPrefix(remote.BaseURL(), "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	time.Sleep(50 * time.Millisecond) // let the server accept it
-	start := time.Now()
-	if err := remote.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if took := time.Since(start); took > time.Second {
-		t.Fatalf("Close took %v with an unused connection open", took)
 	}
 }

@@ -3,34 +3,10 @@ package dbproto
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	rel "repro/internal/relational"
 )
-
-func TestTimeoutDefaultsAndOverride(t *testing.T) {
-	d := DefaultTimeouts()
-	if d.Read != 15*time.Second || d.Write != 30*time.Second || d.Idle != 60*time.Second {
-		t.Errorf("defaults = %+v", d)
-	}
-	remote, _, _ := startRemote(t)
-	if remote.Timeouts() != d {
-		t.Errorf("Serve timeouts = %+v, want defaults", remote.Timeouts())
-	}
-	// Partial overrides keep the remaining defaults.
-	srv := rel.NewServer(0)
-	srv.CreateInstance("X")
-	custom, err := ServeWith(srv, Timeouts{Read: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer custom.Close()
-	got := custom.Timeouts()
-	if got.Read != 2*time.Second || got.Write != d.Write || got.Idle != d.Idle {
-		t.Errorf("partial override = %+v", got)
-	}
-}
 
 func TestInjectedFaultAnswers503(t *testing.T) {
 	remote, _, c := startRemote(t)

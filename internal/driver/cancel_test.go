@@ -61,7 +61,12 @@ func TestRunContextCancellationStopsTheRun(t *testing.T) {
 	}
 	// Goroutine-leak assertion: every dispatcher AND the pipelined
 	// period-init goroutine must wind down after the cancel — a lingering
-	// prepare would keep generating data for a period nobody executes.
+	// prepare would keep generating data for a period nobody executes. The
+	// web services' keep-alive connections are not part of it; closing the
+	// servers ends them.
+	if err := r.s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+3 {
 			return

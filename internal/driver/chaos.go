@@ -61,12 +61,6 @@ func canonicalRow(row rel.Row) string {
 	return b.String()
 }
 
-// VerifyChaos compares the integrated state of a faulty run against its
-// fault-free twin, one check per system plus a whole-snapshot check.
-func VerifyChaos(faulty, clean *scenario.Scenario) *VerificationResult {
-	return VerifyTwin("chaos", "identical to fault-free run", faulty, clean)
-}
-
 // VerifyTwin compares the integrated state of a run against a twin run
 // that reached the same logical state another way (fault-free, full
 // recompute, ...), one check per system plus a whole-snapshot check.

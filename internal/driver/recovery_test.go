@@ -154,6 +154,12 @@ func TestCancelDuringBarrierNoGoroutineLeak(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// The web services' keep-alive connections (up to two pooled per host,
+	// three goroutines each) are not dispatch goroutines; closing the
+	// servers ends them.
+	if err := r.s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+3 {
 			return

@@ -130,11 +130,11 @@ type Plan struct {
 //	A P02: T0(A) + 2m,            1 <= m <= (100-k)*d + 1
 //	A P03: tau1(P01) ^ tau1(P02)
 //	B P04: T0(B) + 2(m-1),        1 <= m <= 1100*d + 1
-//	B P05: tau1(P04)
+//	B P05: tau1(P04)   [data-ready also after P02]
 //	B P06: tau1(P05)
 //	B P07: tau1(P06)
 //	B P08: T0(B) + 2000 + 3(m-1), 1 <= m <= 900*d + 1
-//	B P09: tau1(P08)
+//	B P09: tau1(P08)   [data-ready also after P01]
 //	B P10: T0(B) + 3000 + 2.5(m-1), 1 <= m <= 1050*d + 1
 //	B P11: tau1(B)   [after P09 and P10; data-ready also after P03]
 //	C P12: T0(C)
@@ -173,13 +173,18 @@ func PeriodPlan(k int, sf ScaleFactors) (*Plan, error) {
 	for m := 1; m <= CountP04(sf.Datasize); m++ {
 		add(Instance{Process: "P04", Stream: StreamB, Seq: m - 1, OffsetTU: 2 * float64(m-1)})
 	}
-	add(Instance{Process: "P05", Stream: StreamB, AfterAll: []string{"P04"}})
+	// The extractions read sources that stream A writes: P02's master
+	// data lands in Berlin/Paris and Trondheim (P05..P07), P01's in Seoul
+	// (P09). On the real clock the offsets put those writes long before
+	// the reads; the data-ready edges keep that order when the fast clock
+	// collapses every offset to zero.
+	add(Instance{Process: "P05", Stream: StreamB, AfterAll: []string{"P04", "P02"}})
 	add(Instance{Process: "P06", Stream: StreamB, AfterAll: []string{"P05"}})
 	add(Instance{Process: "P07", Stream: StreamB, AfterAll: []string{"P06"}})
 	for m := 1; m <= CountP08(sf.Datasize); m++ {
 		add(Instance{Process: "P08", Stream: StreamB, Seq: m - 1, OffsetTU: 2000 + 3*float64(m-1)})
 	}
-	add(Instance{Process: "P09", Stream: StreamB, AfterAll: []string{"P08"}})
+	add(Instance{Process: "P09", Stream: StreamB, AfterAll: []string{"P08", "P01"}})
 	for m := 1; m <= CountP10(sf.Datasize); m++ {
 		add(Instance{Process: "P10", Stream: StreamB, Seq: m - 1, OffsetTU: 3000 + 2.5*float64(m-1)})
 	}

@@ -149,10 +149,10 @@ func TestTableII_CompletionDependencies(t *testing.T) {
 	}
 	wants := map[string][]string{
 		"P03": {"P01", "P02"},
-		"P05": {"P04"},
+		"P05": {"P04", "P02"},
 		"P06": {"P05"},
 		"P07": {"P06"},
-		"P09": {"P08"},
+		"P09": {"P08", "P01"},
 		"P11": {"P07", "P09", "P10", "P03"},
 		"P13": {"P12"},
 		"P15": {"P14"},

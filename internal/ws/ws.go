@@ -6,19 +6,16 @@
 //	POST /ws/<service>/query   body <Query table="T"/>      -> ResultSet XML
 //	POST /ws/<service>/update  body ResultSet or entity XML -> <OK/>
 //
-// Services run on a real loopback net/http server so that the
-// communication-cost category Cc of the benchmark's cost model measures
-// genuine request/response round trips. An optional artificial delay per
-// call models a slower network.
+// The package is the XML codec of these two operations; transport,
+// routing, fault injection and the artificial per-call delay (a slower
+// network) come from the loopback RPC substrate in internal/httpsrv, so
+// the communication-cost category Cc of the benchmark's cost model
+// measures genuine request/response round trips.
 package ws
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -120,17 +117,36 @@ func (s *Service) update(doc *x.Node) error {
 type Registry struct {
 	mu       sync.RWMutex
 	services map[string]*Service
-	delay    time.Duration
-	plan     *fault.Plan
 
-	server  *httpsrv.Server
-	baseURL string
+	mux    *httpsrv.Mux[*Service]
+	server *httpsrv.Server
 }
 
 // NewRegistry creates an empty registry with an artificial per-call delay
 // (0 for loopback-only latency).
 func NewRegistry(delay time.Duration) *Registry {
-	return &Registry{services: make(map[string]*Service), delay: delay}
+	r := &Registry{services: make(map[string]*Service)}
+	r.mux = &httpsrv.Mux[*Service]{
+		Prefix:  "ws",
+		MaxBody: 64 << 20,
+		Delay:   delay,
+		Lookup: func(name string) (*Service, error) {
+			if s := r.Service(name); s != nil {
+				return s, nil
+			}
+			return nil, fmt.Errorf("unknown service %s", name)
+		},
+		Ops: map[string]httpsrv.Op[*Service]{
+			"query": (*Service).query,
+			"update": func(s *Service, doc *x.Node) (*x.Node, error) {
+				if err := s.update(doc); err != nil {
+					return nil, err
+				}
+				return x.New("OK"), nil
+			},
+		},
+	}
+	return r
 }
 
 // Register adds a service; it replaces any previous service of that name.
@@ -149,170 +165,40 @@ func (r *Registry) Service(name string) *Service {
 
 // SetFaultPlan installs (or, with nil, removes) the deterministic fault
 // plan consulted before every dispatched request.
-func (r *Registry) SetFaultPlan(p *fault.Plan) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.plan = p
-}
-
-// faultPlan returns the installed plan (possibly nil; Plan methods are
-// nil-safe).
-func (r *Registry) faultPlan() *fault.Plan {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.plan
-}
+func (r *Registry) SetFaultPlan(p *fault.Plan) { r.mux.SetFaultPlan(p) }
 
 // Start binds a loopback listener and serves until Stop. It returns the
 // base URL, e.g. "http://127.0.0.1:39113".
 func (r *Registry) Start() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, err := httpsrv.Listen(r.mux)
 	if err != nil {
 		return "", fmt.Errorf("ws: listen: %w", err)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ws/", r.dispatch)
-	r.baseURL = "http://" + ln.Addr().String()
-	// Peer-protection timeouts: one hung client must not wedge the
-	// application server (same defaults as the dbproto endpoint).
-	r.server = httpsrv.Serve(ln, mux, httpsrv.Timeouts{
-		Read: 15 * time.Second, Write: 30 * time.Second, Idle: 60 * time.Second,
-	})
-	return r.baseURL, nil
+	r.server = srv
+	return srv.URL(), nil
 }
 
-// BaseURL returns the server's base URL ("" before Start).
-func (r *Registry) BaseURL() string { return r.baseURL }
-
-// StopTimeout bounds the graceful drain Stop attempts before falling
-// back to closing connections outright.
-const StopTimeout = 5 * time.Second
-
-// Stop shuts the HTTP server down gracefully: admission stops
-// immediately, connections that never sent a request are closed, in-flight
-// requests get up to StopTimeout to complete, then any stragglers are cut
-// off. Safe to call more than once.
+// Stop shuts the HTTP server down gracefully (see httpsrv.Server.Close).
+// Safe to call more than once.
 func (r *Registry) Stop() error {
 	if r.server == nil {
 		return nil
 	}
-	return r.server.Shutdown(StopTimeout)
-}
-
-// dispatch routes /ws/<service>/<op> requests.
-func (r *Registry) dispatch(w http.ResponseWriter, req *http.Request) {
-	// The artificial network delay honours the request context: a
-	// departed client releases the handler goroutine immediately. net/http
-	// only notices a departed client once the request body is consumed, so
-	// the body is read first.
-	body, err := io.ReadAll(io.LimitReader(req.Body, 64<<20))
-	if err != nil {
-		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if fault.Sleep(req.Context(), r.delay) != nil {
-		return
-	}
-	if req.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	parts := strings.Split(strings.Trim(req.URL.Path, "/"), "/")
-	if len(parts) != 3 {
-		http.Error(w, "expected /ws/<service>/<operation>", http.StatusNotFound)
-		return
-	}
-	svc := r.Service(parts[1])
-	if svc == nil {
-		http.Error(w, "unknown service "+parts[1], http.StatusNotFound)
-		return
-	}
-	if !fault.InjectHTTP(w, req, r.faultPlan(), "ws/"+strings.ToLower(parts[1]), parts[2], body) {
-		return
-	}
-	doc, err := x.ParseBytes(body)
-	if err != nil {
-		http.Error(w, "parse: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	switch parts[2] {
-	case "query":
-		result, err := svc.query(doc)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/xml")
-		_ = result.WriteXML(w)
-	case "update":
-		if err := svc.update(doc); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/xml")
-		_, _ = io.WriteString(w, "<OK/>")
-	default:
-		http.Error(w, "unknown operation "+parts[2], http.StatusNotFound)
-	}
+	return r.server.Close()
 }
 
 // Client calls one service over HTTP.
-type Client struct {
-	baseURL string
-	service string
-	http    *http.Client
-}
+type Client struct{ rpc httpsrv.Client }
 
 // NewClient creates a client for the named service at the registry's base
 // URL.
 func NewClient(baseURL, service string) *Client {
-	return &Client{
-		baseURL: baseURL,
-		service: strings.ToLower(service),
-		http:    &http.Client{Timeout: 30 * time.Second},
-	}
-}
-
-// post sends a document under the context and returns the response body.
-// Non-200 responses surface as a wrapped fault.HTTPStatusError so the
-// resilience layer can classify 5xx answers as transient.
-func (c *Client) post(ctx context.Context, op string, doc *x.Node) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := doc.WriteXML(&buf); err != nil {
-		return nil, err
-	}
-	url := fmt.Sprintf("%s/ws/%s/%s", c.baseURL, c.service, op)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, &buf)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/xml")
-	if caller := fault.Caller(ctx); caller != "" {
-		req.Header.Set(fault.CallerHeader, caller)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("ws: %s %s: %w", c.service, op, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("ws: %s %s: %w", c.service, op, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("ws: %s %s: %w", c.service, op,
-			&fault.HTTPStatusError{Status: resp.StatusCode, Body: strings.TrimSpace(string(body))})
-	}
-	return body, nil
+	return &Client{rpc: httpsrv.NewClient(baseURL, "ws", strings.ToLower(service), "ws", 30*time.Second)}
 }
 
 // QueryContext fetches a whole table as an XML result-set document.
 func (c *Client) QueryContext(ctx context.Context, table string) (*x.Node, error) {
-	body, err := c.post(ctx, "query", x.New("Query").SetAttr("table", table))
-	if err != nil {
-		return nil, err
-	}
-	return x.ParseBytes(body)
+	return c.rpc.Post(ctx, "query", x.New("Query").SetAttr("table", table))
 }
 
 // Query is QueryContext under context.Background.
@@ -337,7 +223,7 @@ func (c *Client) QueryRelation(table string) (*rel.Relation, error) {
 // UpdateContext posts a document (ResultSet bulk upsert or entity
 // message) to the service's update operation.
 func (c *Client) UpdateContext(ctx context.Context, doc *x.Node) error {
-	_, err := c.post(ctx, "update", doc)
+	_, err := c.rpc.Post(ctx, "update", doc)
 	return err
 }
 
