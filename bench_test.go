@@ -610,92 +610,21 @@ func tileRelation(b testing.TB, r *rel.Relation, n int, keyCols ...string) *rel.
 	return out
 }
 
-// BenchmarkParallelOperators A/B-compares the sequential relational
-// kernels against the morsel-driven parallel ones over the realistic
-// Europe orders/orderline datasets. The par=N sub-benchmarks force the
-// worker pool past GOMAXPROCS so the partitioned code path runs even on
-// the single-core CI leg; real speedups need multiple cores (run with
-// GOMAXPROCS>=4 to reproduce the archived numbers).
-func BenchmarkParallelOperators(b *testing.B) {
-	g := datagen.MustNew(datagen.Config{Seed: 1, Datasize: 1, Dist: datagen.Uniform})
-	ds, err := g.Europe("Berlin_Paris")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds2, err := g.Europe("Trondheim")
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The d=1 Europe tables sit below one morsel (4096 rows); tile them
-	// with disjoint key ranges so the kernels genuinely partition.
-	const copies = 12
-	orders := tileRelation(b, ds.Orders, copies, "Ordkey")
-	orderline := tileRelation(b, ds.Orderline, copies, "Ordkey")
-	orders2 := tileRelation(b, ds2.Orders, copies, "Ordkey")
-	pred := rel.ColEq("Location", rel.NewString("Berlin"))
-	degrees := []int{0, 4}
-	restore := rel.MaxWorkers()
-	rel.SetMaxWorkers(8)
-	b.Cleanup(func() { rel.SetMaxWorkers(restore) })
-	for _, par := range degrees {
-		name := fmt.Sprintf("par_%d", par)
-		if par == 0 {
-			name = "seq"
-		}
-		b.Run("select/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := orders.SelectPar(par, pred)
-				if err != nil || out.Len() == 0 {
-					b.Fatal("empty selection")
-				}
-			}
-		})
-		b.Run("join/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := orderline.JoinPar(par, orders, "Ordkey", "Ordkey", "o_")
-				if err != nil || out.Len() == 0 {
-					b.Fatal("empty join")
-				}
-			}
-		})
-		b.Run("groupby/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := orders.GroupByPar(par, []string{"Custkey"}, []rel.AggSpec{
-					{Func: "count", As: "N"},
-					{Func: "sum", Col: "Total", As: "Sum"},
-				})
-				if err != nil || out.Len() == 0 {
-					b.Fatalf("empty aggregation (%v)", err)
-				}
-			}
-		})
-		b.Run("union/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := orders.UnionDistinctPar(par, []string{"Ordkey"}, orders2)
-				if err != nil || out.Len() == 0 {
-					b.Fatal("empty union")
-				}
-			}
-		})
-		b.Run("sort/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := orders.SortPar(par, "Custkey", "Ordkey")
-				if err != nil || out.Len() == 0 {
-					b.Fatal("empty sort")
-				}
-			}
-		})
-	}
+// benchWorkers raises the process-wide scheduler's worker bound to n for
+// the rest of the benchmark, so the morsel-parallel legs spawn workers
+// even where GOMAXPROCS is smaller.
+func benchWorkers(b *testing.B, n int) {
+	sched.Default().SetMaxWorkers(n)
+	b.Cleanup(func() { sched.Default().SetMaxWorkers(runtime.GOMAXPROCS(0)) })
 }
 
-// BenchmarkVectorKernels A/B-compares the morsel-parallel row kernels
-// against the vectorized columnar kernels over the same tiled Europe
-// datasets (results/perf_pr6.md). Both arms run at the same parallelism
-// degree so the difference isolates the layout: predicate evaluation
-// over typed column slices with a selection bitmap, typed hash-join
-// build/probe, and the fused grouped-aggregation fold. Run with
-// -benchmem: the vec arms also demonstrate the pooled ColSet/bitmap
-// scratch (allocs/op stays dominated by the output, not the scan).
+// BenchmarkVectorKernels A/B-compares the sequential row kernels (the
+// federated System A reference) against the vectorized columnar kernels
+// at par=4 over tiled Europe datasets: predicate evaluation over typed
+// column slices with a selection bitmap, typed hash-join build/probe, and
+// the fused grouped-aggregation fold. Run with -benchmem: the vec arms
+// also demonstrate the pooled ColSet/bitmap scratch (allocs/op stays
+// dominated by the output, not the scan).
 func BenchmarkVectorKernels(b *testing.B) {
 	g := datagen.MustNew(datagen.Config{Seed: 1, Datasize: 1, Dist: datagen.Uniform})
 	ds, err := g.Europe("Berlin_Paris")
@@ -712,9 +641,7 @@ func BenchmarkVectorKernels(b *testing.B) {
 		{Func: "sum", Col: "Total", As: "Sum"},
 	}
 	const par = 4
-	restore := rel.MaxWorkers()
-	rel.SetMaxWorkers(8)
-	b.Cleanup(func() { rel.SetMaxWorkers(restore) })
+	benchWorkers(b, 8)
 	mustColumnar := func(b *testing.B, l rel.Layout) {
 		b.Helper()
 		if l != rel.LayoutColumnar {
@@ -724,7 +651,7 @@ func BenchmarkVectorKernels(b *testing.B) {
 	b.Run("filter/row", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, err := orders.SelectPar(par, pred)
+			out, err := orders.Select(pred)
 			if err != nil || out.Len() == 0 {
 				b.Fatal("empty selection")
 			}
@@ -743,7 +670,7 @@ func BenchmarkVectorKernels(b *testing.B) {
 	b.Run("join/row", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, err := orderline.JoinPar(par, orders, "Ordkey", "Ordkey", "o_")
+			out, err := orderline.Join(orders, "Ordkey", "Ordkey", "o_")
 			if err != nil || out.Len() == 0 {
 				b.Fatal("empty join")
 			}
@@ -762,7 +689,7 @@ func BenchmarkVectorKernels(b *testing.B) {
 	b.Run("groupagg/row", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, err := orders.GroupByPar(par, groupCols, aggs)
+			out, err := orders.GroupBy(groupCols, aggs)
 			if err != nil || out.Len() == 0 {
 				b.Fatalf("empty aggregation (%v)", err)
 			}
@@ -813,27 +740,23 @@ func TestVectorScratchPooled(t *testing.T) {
 
 // BenchmarkStreamCD measures the serialized warehouse-load (stream C:
 // P12-P13) and mart-refresh (stream D: P14-P15) chain end to end —
-// the critical path the morsel kernels target — sequential vs. with
-// intra-operator parallelism. At d=0.1 the warehouse facts stay below
-// one morsel (the kernels take their sequential fallback, so the two
-// variants must be at parity); at d=4 the fact tables span 3-8 morsels
-// and the partitioned paths genuinely run. The col_4 leg additionally
-// routes eligible morsels through the vectorized columnar kernels
-// (results/perf_pr6.md).
+// the critical path the morsel kernels target — on the sequential row
+// kernels vs. the vectorized columnar kernels at par=4. At d=0.1 the
+// warehouse facts stay below one morsel, so the col_4 leg runs inline;
+// at d=4 the fact tables span 3-8 morsels and the partitioned paths
+// genuinely run.
 func BenchmarkStreamCD(b *testing.B) {
 	modes := []struct {
 		name     string
 		par      int
 		columnar bool
-	}{{"seq", 0, false}, {"par_4", 4, false}, {"col_4", 4, true}}
+	}{{"seq", 0, false}, {"col_4", 4, true}}
 	for _, d := range []float64{0.1, 4} {
 		for _, m := range modes {
 			m := m
 			name := fmt.Sprintf("d_%g/%s", d, m.name)
 			b.Run(name, func(b *testing.B) {
-				restore := rel.MaxWorkers()
-				rel.SetMaxWorkers(8)
-				b.Cleanup(func() { rel.SetMaxWorkers(restore) })
+				benchWorkers(b, 8)
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					s, _ := benchScenario(b, d)
@@ -879,9 +802,7 @@ func BenchmarkStreamCDSharded(b *testing.B) {
 		for _, shards := range []int{0, 1, 3} {
 			name := fmt.Sprintf("d_%g/shard_%d", d, shards)
 			b.Run(name, func(b *testing.B) {
-				restore := rel.MaxWorkers()
-				rel.SetMaxWorkers(8)
-				b.Cleanup(func() { rel.SetMaxWorkers(restore) })
+				benchWorkers(b, 8)
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					s, _ := benchScenario(b, d)
@@ -918,9 +839,7 @@ func BenchmarkStreamCDSharded(b *testing.B) {
 // whole tenant batch, so the shared/private ratio at each T is the
 // aggregate-throughput win of the shared pool.
 func BenchmarkSchedulerMultiTenant(b *testing.B) {
-	restore := rel.MaxWorkers()
-	rel.SetMaxWorkers(8)
-	b.Cleanup(func() { rel.SetMaxWorkers(restore) })
+	benchWorkers(b, 8)
 	// d=4 keeps the staging tables above several morsels (cf. the
 	// BenchmarkStreamCD big leg) — smaller sizes fall into the inline
 	// short-circuit and never reach a scheduler at all.

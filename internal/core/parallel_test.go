@@ -11,15 +11,15 @@ import (
 
 // TestStreamCDParallelStress runs a full verified period with intra-operator
 // parallelism forced on (the single-core test machine would otherwise leave
-// the presets sequential), exercising the morsel kernels under the real
-// C/D stream workload. Running this test under -race is the stress test
-// the parallel layer is gated on.
+// the presets sequential), exercising the vectorized morsel kernels under
+// the real C/D stream workload. Running this test under -race is the
+// stress test the parallel layer is gated on.
 func TestStreamCDParallelStress(t *testing.T) {
 	b, err := New(Config{
 		Datasize: 0.02, Periods: 1, Seed: 7,
 		Engine: EnginePipeline,
 		EngineOptions: &engine.Options{
-			PlanCache: true, Parallelism: 4,
+			PlanCache: true, Parallelism: 4, Columnar: true,
 		},
 		FastClock: true, Verify: true,
 	})
@@ -55,9 +55,10 @@ func mvState(dwh *rel.Database) string {
 
 // TestParallelismDeterministicWarehouse runs one benchmark period, then
 // refreshes the warehouse's OrdersMV repeatedly over the identical Orders
-// facts — sequentially and with parallelism forced high. The refresh is
-// the ExtendMany+GroupBy hot path; its output (including row order and
-// float sums) must not depend on the parallel degree.
+// facts — on the sequential row kernels, then on the vectorized kernels
+// with parallelism forced high. The refresh is the ExtendMany+GroupBy hot
+// path; its output (including row order and float sums) must depend on
+// neither the layout nor the parallel degree.
 func TestParallelismDeterministicWarehouse(t *testing.T) {
 	b, err := New(Config{
 		Datasize: 0.02, Periods: 1, Seed: 11,
@@ -103,6 +104,7 @@ func TestParallelismDeterministicWarehouse(t *testing.T) {
 	}
 	refresh := func(par int) string {
 		dwh.SetParallelism(par)
+		dwh.SetColumnar(par > 1)
 		if _, err := dwh.Call("sp_refreshOrdersMV"); err != nil {
 			t.Fatalf("refresh with par=%d: %v", par, err)
 		}

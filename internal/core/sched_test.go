@@ -24,6 +24,8 @@ import (
 // schedTwinVariant is one cell of the toggle matrix the bit-identity
 // contract is pinned on: delta-driven maintenance, vectorized kernels,
 // and region sharding (where shard children inherit the parent handle).
+// Every cell keeps the vectorized kernels on: only they and union-distinct
+// submit work to the scheduler, because the row kernels are sequential.
 type schedTwinVariant struct {
 	name        string
 	incremental string
@@ -32,7 +34,7 @@ type schedTwinVariant struct {
 }
 
 var schedTwinVariants = []schedTwinVariant{
-	{"incremental", "on", "off", 0},
+	{"incremental", "on", "on", 0},
 	{"columnar", "off", "on", 0},
 	{"sharded", "on", "on", 2},
 }

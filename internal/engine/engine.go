@@ -69,9 +69,10 @@ type Options struct {
 	BatchSize int
 	// BatchTimeout flushes a partial batch; defaults to 2ms.
 	BatchTimeout time.Duration
-	// Parallelism enables morsel-driven intra-operator parallelism in the
-	// relational kernels (degree = Parallelism workers per operator). 0 or
-	// 1 keeps every operator on the sequential path — the federated
+	// Parallelism enables morsel-driven intra-operator parallelism
+	// (degree = Parallelism workers per operator) in the vectorized
+	// kernels and union-distinct; the row kernels are always sequential.
+	// 0 or 1 keeps every operator on the sequential path — the federated
 	// "System A" engine must stay sequential so its measured profile
 	// matches the paper's reference implementation.
 	Parallelism int

@@ -162,7 +162,8 @@ func (c *Context) Context() context.Context {
 }
 
 // SetParallelism sets the intra-operator parallel degree the dataset
-// operators request from the relational kernels; <= 1 keeps every operator
+// operators request from the vectorized kernels and union-distinct (the
+// row kernels are always sequential); <= 1 keeps every operator
 // sequential. Set once before Run — it is not synchronized.
 func (c *Context) SetParallelism(par int) { c.par = par }
 

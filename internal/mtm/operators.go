@@ -341,7 +341,7 @@ func (o Selection) Execute(ctx *Context) error {
 		out, layout, err = r.FilterVec(ctx.Parallelism(), o.Pred)
 		ctx.recordLayout(o.Kind(), layout)
 	} else {
-		out, err = r.SelectPar(ctx.Parallelism(), o.Pred)
+		out, err = r.Select(o.Pred)
 	}
 	if err != nil {
 		return fmt.Errorf("mtm: SELECTION: %w", err)
@@ -376,7 +376,7 @@ func (o Projection) Execute(ctx *Context) error {
 		out, layout, err = r.ProjectVec(ctx.Parallelism(), o.Cols...)
 		ctx.recordLayout(o.Kind(), layout)
 	} else {
-		out, err = r.ProjectPar(ctx.Parallelism(), o.Cols...)
+		out, err = r.Project(o.Cols...)
 	}
 	if err != nil {
 		return fmt.Errorf("mtm: PROJECTION: %w", err)
@@ -458,7 +458,7 @@ func (o Join) Execute(ctx *Context) error {
 		out, layout, err = l.HashJoinVec(ctx.Parallelism(), r, o.LeftCol, o.RightCol, o.ClashPrefix)
 		ctx.recordLayout(o.Kind(), layout)
 	} else {
-		out, err = l.JoinPar(ctx.Parallelism(), r, o.LeftCol, o.RightCol, o.ClashPrefix)
+		out, err = l.Join(r, o.LeftCol, o.RightCol, o.ClashPrefix)
 	}
 	if err != nil {
 		return fmt.Errorf("mtm: JOIN: %w", err)

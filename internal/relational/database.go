@@ -47,8 +47,9 @@ func NewDatabase(name string) *Database {
 func (db *Database) Name() string { return db.name }
 
 // SetParallelism sets the parallel degree stored procedures on this
-// instance pass to the relational kernels (e.g. the OrdersMV refresh);
-// <= 1 keeps them sequential.
+// instance pass to the vectorized kernels (e.g. the columnar OrdersMV
+// refresh); <= 1 keeps them sequential. The row kernels are always
+// sequential.
 func (db *Database) SetParallelism(par int) {
 	db.mu.Lock()
 	db.par = par

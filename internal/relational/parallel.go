@@ -1,77 +1,43 @@
 package relational
 
-import (
-	"math"
-	"sort"
+import "repro/internal/sched"
 
-	"repro/internal/sched"
-)
-
-// Morsel-driven parallel kernels. Each XxxPar method produces output that
-// is row-for-row identical to its sequential counterpart: rows are split
-// into fixed-size morsels, workers process morsels independently, and the
-// per-morsel results are stitched back together in morsel order. The
-// kernels reuse the exact validation/compare/accumulate helpers of the
-// sequential path (joinSpec, groupSpec, compareRowsOn, ...), so the two
-// paths cannot diverge arithmetically — bit-identical float sums included.
+// Morsel-driven parallelism. Rows are split into fixed-size morsels,
+// participants process morsels independently, and per-morsel results are
+// stitched back together in morsel order, so a parallel kernel's output is
+// row-for-row (and float-bit-for-bit) identical to the sequential row
+// kernel. The vectorized kernels (vector_kernels.go) and UnionDistinctPar
+// below are the only kernels that run morsels in parallel; every other
+// row kernel is sequential, which keeps it the reference the parallel and
+// columnar paths are compared against.
 //
-// Inputs smaller than one morsel (and any call with par <= 1) take the
-// sequential kernel untouched, so low-volume engines pay nothing.
+// Every parallel call is a task set submitted to the process-wide
+// work-stealing scheduler in internal/sched, attributed to the relation's
+// handle (the tenant/shard that owns it — see Relation.WithPool) or the
+// default handle when the relation was never attributed. The caller
+// always participates in its own set, so kernels never block waiting for
+// a worker, and tiny submissions (par <= 1 or fewer than two tasks) run
+// inline on the caller without touching the queues at all.
 
 // morselSize is the number of rows a worker claims at a time. Chosen so a
 // morsel of typical DIPBench rows stays within L2 while keeping scheduling
 // overhead negligible.
 const morselSize = 4096
 
-// The kernels no longer own a worker pool: every parallel call is a task
-// set submitted to the process-wide work-stealing scheduler in
-// internal/sched, attributed to the relation's handle (the tenant/shard
-// that owns it — see Relation.WithPool) or the default handle when the
-// relation was never attributed. The caller always participates in its
-// own set, so kernels still never block waiting for a worker, and tiny
-// submissions (par <= 1 or fewer than two tasks) run inline on the
-// caller without touching the queues at all.
-
-// SetMaxWorkers bounds the extra worker goroutines of the process-wide
-// scheduler shared by all parallel kernels. The default is GOMAXPROCS.
-// Values below 1 are clamped to 1.
-func SetMaxWorkers(n int) {
-	sched.Default().SetMaxWorkers(n)
-}
-
-// MaxWorkers returns the current extra-worker bound of the process-wide
-// scheduler.
-func MaxWorkers() int {
-	return sched.Default().MaxWorkers()
-}
-
-// parallelRun executes tasks 0..tasks-1 with up to par participants (the
-// caller plus at most par-1 scheduler workers) on the default handle.
-// Workers claim tasks from a shared counter, so uneven tasks balance
-// dynamically. A panic in any worker is re-raised on the caller after
-// all participants settle.
-func parallelRun(par, tasks int, fn func(task int)) {
-	sched.DefaultHandle().Run(par, tasks, fn)
-}
-
-// schedHandle returns the scheduler handle this relation is attributed
-// to, falling back to the process-wide default handle.
-func (r *Relation) schedHandle() *sched.Handle {
-	if r.pool != nil {
-		return r.pool
+// runTasks submits a task set to the relation's scheduler handle, falling
+// back to the process-wide default handle.
+func (r *Relation) runTasks(par, tasks int, fn func(task int)) {
+	h := r.pool
+	if h == nil {
+		h = sched.DefaultHandle()
 	}
-	return sched.DefaultHandle()
-}
-
-// runPar submits a task set to the relation's scheduler handle.
-func (r *Relation) runPar(par, tasks int, fn func(task int)) {
-	r.schedHandle().Run(par, tasks, fn)
+	h.Run(par, tasks, fn)
 }
 
 // runMorsels runs fn once per morsel of n rows on the relation's handle,
 // passing the morsel index and its [lo, hi) row range.
 func (r *Relation) runMorsels(par, n int, fn func(c, lo, hi int)) {
-	r.runPar(par, numMorsels(n), func(c int) {
+	r.runTasks(par, numMorsels(n), func(c int) {
 		lo := c * morselSize
 		hi := min(lo+morselSize, n)
 		fn(c, lo, hi)
@@ -81,344 +47,6 @@ func (r *Relation) runMorsels(par, n int, fn func(c, lo, hi int)) {
 // numMorsels returns how many morsels n rows split into.
 func numMorsels(n int) int {
 	return (n + morselSize - 1) / morselSize
-}
-
-
-// SelectPar is Select with morsel-parallel predicate evaluation. Matching
-// rows concatenate in morsel order, so output order equals the sequential
-// scan; on error the globally first failing row's error is returned.
-func (r *Relation) SelectPar(par int, pred Predicate) (*Relation, error) {
-	n := len(r.rows)
-	if par <= 1 || n <= morselSize {
-		return r.Select(pred)
-	}
-	outs := make([][]Row, numMorsels(n))
-	errs := make([]error, len(outs))
-	r.runMorsels(par, n, func(c, lo, hi int) {
-		var out []Row
-		for _, row := range r.rows[lo:hi] {
-			ok, err := pred.Eval(r.schema, row)
-			if err != nil {
-				errs[c] = err // first error within the morsel
-				return
-			}
-			if ok {
-				out = append(out, row)
-			}
-		}
-		outs[c] = out
-	})
-	// Morsels are row-order slices, so the first errored morsel holds the
-	// globally first error.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	if total == 0 {
-		return &Relation{schema: r.schema, pool: r.pool}, nil
-	}
-	rows := make([]Row, 0, total)
-	for _, o := range outs {
-		rows = append(rows, o...)
-	}
-	return &Relation{schema: r.schema, rows: rows, pool: r.pool}, nil
-}
-
-// ProjectPar is Project with morsel-parallel row picking.
-func (r *Relation) ProjectPar(par int, names ...string) (*Relation, error) {
-	n := len(r.rows)
-	if par <= 1 || n <= morselSize {
-		return r.Project(names...)
-	}
-	ps, err := r.schema.Project(names...)
-	if err != nil {
-		return nil, err
-	}
-	ordinals := make([]int, len(names))
-	for i, nm := range names {
-		ordinals[i] = r.schema.MustOrdinal(nm)
-	}
-	rows := make([]Row, n)
-	r.runMorsels(par, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rows[i] = Row(r.rows[i].pick(ordinals))
-		}
-	})
-	return &Relation{schema: ps, rows: rows, pool: r.pool}, nil
-}
-
-// ExtendPar is Extend with morsel-parallel evaluation of fn. fn must be
-// safe for concurrent calls (all scenario extension functions are pure).
-func (r *Relation) ExtendPar(par int, name string, t Type, fn func(Row) Value) (*Relation, error) {
-	n := len(r.rows)
-	if par <= 1 || n <= morselSize {
-		return r.Extend(name, t, fn)
-	}
-	cols := make([]Column, len(r.schema.Columns)+1)
-	copy(cols, r.schema.Columns)
-	cols[len(cols)-1] = Column{Name: name, Type: t, Nullable: true}
-	es, err := NewSchema(cols, r.schema.KeyNames()...)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Row, n)
-	r.runMorsels(par, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := r.rows[i]
-			nr := make(Row, len(row)+1)
-			copy(nr, row)
-			nr[len(row)] = fn(row)
-			rows[i] = nr
-		}
-	})
-	return &Relation{schema: es, rows: rows, pool: r.pool}, nil
-}
-
-// ExtendManyPar is ExtendMany with morsel-parallel evaluation of fn
-// (which the ExtendFn contract makes safe).
-func (r *Relation) ExtendManyPar(par int, cols []Column, fn ExtendFn) (*Relation, error) {
-	n := len(r.rows)
-	if par <= 1 || n <= morselSize {
-		return r.ExtendMany(cols, fn)
-	}
-	all := make([]Column, len(r.schema.Columns)+len(cols))
-	copy(all, r.schema.Columns)
-	copy(all[len(r.schema.Columns):], cols)
-	es, err := NewSchema(all, r.schema.KeyNames()...)
-	if err != nil {
-		return nil, err
-	}
-	k := len(r.schema.Columns)
-	rows := make([]Row, n)
-	r.runMorsels(par, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := r.rows[i]
-			nr := make(Row, len(all))
-			copy(nr, row)
-			fn(row, nr[k:])
-			rows[i] = nr
-		}
-	})
-	return &Relation{schema: es, rows: rows, pool: r.pool}, nil
-}
-
-// JoinPar is Join with a partitioned parallel build and a morsel-parallel
-// probe. The build side is split by hash into par partitions, each built by
-// one worker scanning right rows in order (so per-key candidate lists keep
-// the sequential order); probes concatenate in left-morsel order. Output
-// rows therefore appear exactly as in the sequential hash join.
-func (r *Relation) JoinPar(par int, o *Relation, leftCol, rightCol, clashPrefix string) (*Relation, error) {
-	if par <= 1 || (len(r.rows) <= morselSize && len(o.rows) <= morselSize) {
-		return r.Join(o, leftCol, rightCol, clashPrefix)
-	}
-	spec, err := r.joinSpec(o, leftCol, rightCol, clashPrefix)
-	if err != nil {
-		return nil, err
-	}
-	li, ri := spec.li, spec.ri
-
-	// Build phase. With a small right side a single sequential build is
-	// cheaper than partitioning; the probe below still runs in parallel.
-	nr := len(o.rows)
-	parts := 1
-	if nr > morselSize {
-		parts = par
-	}
-	tables := make([]map[uint64][]Row, parts)
-	if parts == 1 {
-		build := make(map[uint64][]Row, nr)
-		for _, row := range o.rows {
-			h := hashValue(row[ri])
-			build[h] = append(build[h], row)
-		}
-		tables[0] = build
-	} else {
-		// Hash all right keys once in parallel, then let each builder own
-		// the partition h%parts, scanning rows in order so candidate lists
-		// match the sequential build.
-		rh := make([]uint64, nr)
-		r.runMorsels(par, nr, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				rh[i] = hashValue(o.rows[i][ri])
-			}
-		})
-		r.runPar(par, parts, func(p int) {
-			build := make(map[uint64][]Row, nr/parts+1)
-			up := uint64(p)
-			for i, row := range o.rows {
-				if rh[i]%uint64(parts) == up {
-					build[rh[i]] = append(build[rh[i]], row)
-				}
-			}
-			tables[p] = build
-		})
-	}
-
-	// Probe phase: morsel-parallel over the left side.
-	nl := len(r.rows)
-	outs := make([][]Row, numMorsels(nl))
-	r.runMorsels(par, nl, func(c, lo, hi int) {
-		var out []Row
-		for _, lrow := range r.rows[lo:hi] {
-			k := lrow[li]
-			if k.IsNull() {
-				continue
-			}
-			h := hashValue(k)
-			for _, rrow := range tables[h%uint64(parts)][h] {
-				if !rrow[ri].Equal(k) {
-					continue
-				}
-				out = append(out, spec.joinRow(lrow, rrow))
-			}
-		}
-		outs[c] = out
-	})
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	if total == 0 {
-		return &Relation{schema: spec.schema, pool: r.pool}, nil
-	}
-	rows := make([]Row, 0, total)
-	for _, o := range outs {
-		rows = append(rows, o...)
-	}
-	return &Relation{schema: spec.schema, rows: rows, pool: r.pool}, nil
-}
-
-// localGroup is one group discovered within a single morsel during the
-// partition phase of GroupByPar: its key, hash, and the global indices of
-// its rows (ascending).
-type localGroup struct {
-	key  []Value
-	hash uint64
-	idx  []int32
-}
-
-// mergedGroup is a group after cross-morsel merge: the per-morsel index
-// lists, kept in morsel order so replay visits rows in global row order.
-type mergedGroup struct {
-	key  []Value
-	hash uint64
-	idx  [][]int32
-}
-
-// GroupByPar is GroupBy in two parallel phases. Phase 1 partitions rows
-// into per-morsel group index lists; the lists merge in morsel order, which
-// reproduces the sequential first-seen group order exactly. Phase 2 folds
-// each group by replaying its rows in global row order through the same
-// update/emit code as the sequential kernel, so every aggregate — float
-// sums included — is bit-identical to the sequential result.
-func (r *Relation) GroupByPar(par int, groupCols []string, aggs []AggSpec) (*Relation, error) {
-	n := len(r.rows)
-	if par <= 1 || n <= morselSize || n > math.MaxInt32 {
-		return r.GroupBy(groupCols, aggs)
-	}
-	spec, err := r.groupSpec(groupCols, aggs)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 1: per-morsel partition into local groups. The morsel row count
-	// bounds the group count, so pre-sizing the map to it eliminates every
-	// incremental rehash on high-cardinality groupings.
-	locals := make([][]*localGroup, numMorsels(n)) // first-seen order per morsel
-	r.runMorsels(par, n, func(c, lo, hi int) {
-		groups := make(map[uint64][]*localGroup, hi-lo)
-		var order []*localGroup
-		for i := lo; i < hi; i++ {
-			row := r.rows[i]
-			h := hashRowOn(row, spec.gOrd)
-			var g *localGroup
-			for _, cand := range groups[h] {
-				if keyMatches(row, spec.gOrd, cand.key) {
-					g = cand
-					break
-				}
-			}
-			if g == nil {
-				g = &localGroup{key: row.pick(spec.gOrd), hash: h}
-				groups[h] = append(groups[h], g)
-				order = append(order, g)
-			}
-			g.idx = append(g.idx, int32(i))
-		}
-		locals[c] = order
-	})
-
-	// Merge local groups in morsel order: a group's position is decided by
-	// its globally first row, matching the sequential first-seen order. The
-	// local-group total bounds the merged cardinality.
-	totalLocals := 0
-	for _, local := range locals {
-		totalLocals += len(local)
-	}
-	merged := make(map[uint64][]*mergedGroup, totalLocals)
-	var order []*mergedGroup
-	for _, local := range locals {
-		for _, lg := range local {
-			var g *mergedGroup
-			for _, cand := range merged[lg.hash] {
-				if keyMatches(Row(lg.key), identityOrds(len(lg.key)), cand.key) {
-					g = cand
-					break
-				}
-			}
-			if g == nil {
-				g = &mergedGroup{key: lg.key, hash: lg.hash}
-				merged[lg.hash] = append(merged[lg.hash], g)
-				order = append(order, g)
-			}
-			g.idx = append(g.idx, lg.idx)
-		}
-	}
-
-	// Phase 2: fold each group's rows in global order, in parallel across
-	// groups, emitting straight into the group's output slot.
-	out := make([]Row, len(order))
-	r.runPar(par, len(order), func(gi int) {
-		g := order[gi]
-		acc := &groupAcc{key: g.key, aggs: make([]aggAcc, len(spec.aggs))}
-		for _, idx := range g.idx {
-			for _, i := range idx {
-				spec.update(acc, r.rows[i])
-			}
-		}
-		out[gi] = spec.emit(acc)
-	})
-	return &Relation{schema: spec.out, rows: out, pool: r.pool}, nil
-}
-
-// identityOrdsCache caches small identity ordinal slices ([0], [0 1], ...)
-// used when a picked key tuple is compared against another key tuple.
-var identityOrdsCache = func() [][]int {
-	c := make([][]int, 9)
-	for n := range c {
-		ords := make([]int, n)
-		for i := range ords {
-			ords[i] = i
-		}
-		c[n] = ords
-	}
-	return c
-}()
-
-func identityOrds(n int) []int {
-	if n < len(identityOrdsCache) {
-		return identityOrdsCache[n]
-	}
-	ords := make([]int, n)
-	for i := range ords {
-		ords[i] = i
-	}
-	return ords
 }
 
 // hashedRow pairs a row with its precomputed key hash so the sequential
@@ -501,86 +129,4 @@ func (r *Relation) UnionDistinctPar(par int, keyCols []string, others ...*Relati
 		}
 	}
 	return &Relation{schema: r.schema, rows: out, pool: r.pool}, nil
-}
-
-// SortPar is Sort as a parallel stable merge sort: contiguous runs are
-// stably sorted in parallel, then adjacent runs merge pairwise (ties take
-// the left, i.e. earlier-index, run). The result is the unique stable
-// ordering — identical to the sequential sort.SliceStable output.
-func (r *Relation) SortPar(par int, cols ...string) (*Relation, error) {
-	n := len(r.rows)
-	if par <= 1 || n <= morselSize {
-		return r.Sort(cols...)
-	}
-	ordinals, err := r.sortOrdinals(cols)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Row, n)
-	copy(rows, r.rows)
-
-	// Runs are contiguous index ranges, large enough that par runs cover
-	// the relation but never smaller than a morsel.
-	runSize := max(morselSize, (n+par-1)/par)
-	var bounds []int
-	for lo := 0; lo < n; lo += runSize {
-		bounds = append(bounds, lo)
-	}
-	bounds = append(bounds, n)
-
-	r.runPar(par, len(bounds)-1, func(i int) {
-		seg := rows[bounds[i]:bounds[i+1]]
-		sort.SliceStable(seg, func(a, b int) bool {
-			return compareRowsOn(seg[a], seg[b], ordinals) < 0
-		})
-	})
-
-	src, dst := rows, make([]Row, n)
-	for len(bounds) > 2 {
-		pairs := (len(bounds) - 1) / 2
-		r.runPar(par, pairs, func(p int) {
-			lo, mid, hi := bounds[2*p], bounds[2*p+1], bounds[2*p+2]
-			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi], ordinals)
-		})
-		if (len(bounds)-1)%2 == 1 { // odd trailing run: carry over
-			lo, hi := bounds[len(bounds)-2], bounds[len(bounds)-1]
-			copy(dst[lo:hi], src[lo:hi])
-		}
-		nb := bounds[:0:0]
-		for i := 0; i < len(bounds); i += 2 {
-			nb = append(nb, bounds[i])
-		}
-		if nb[len(nb)-1] != n {
-			nb = append(nb, n)
-		}
-		bounds = nb
-		src, dst = dst, src
-	}
-	return &Relation{schema: r.schema, rows: src, pool: r.pool}, nil
-}
-
-// mergeRuns merges two stably sorted runs; ties take the left run, which
-// holds the earlier original indices, preserving stability.
-func mergeRuns(dst, left, right []Row, ordinals []int) {
-	i, j, k := 0, 0, 0
-	for i < len(left) && j < len(right) {
-		if compareRowsOn(left[i], right[j], ordinals) <= 0 {
-			dst[k] = left[i]
-			i++
-		} else {
-			dst[k] = right[j]
-			j++
-		}
-		k++
-	}
-	for i < len(left) {
-		dst[k] = left[i]
-		i++
-		k++
-	}
-	for j < len(right) {
-		dst[k] = right[j]
-		j++
-		k++
-	}
 }

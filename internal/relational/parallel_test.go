@@ -7,20 +7,23 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sched"
 )
 
-// The parallel kernels' hard contract is bit-identity: for every input —
-// empty, single-morsel, NULL-heavy, multi-morsel — XxxPar(par, ...) must
-// return the same rows, in the same order, with the same float bits, as
-// the sequential Xxx. The tests force par > 1 explicitly (on a single-core
-// machine the engine presets would keep everything sequential) and widen
-// the worker gate so goroutines actually spawn.
+// UnionDistinctPar's hard contract is bit-identity: for every input —
+// empty, single-morsel, NULL-heavy, multi-morsel — it must return the same
+// rows, in the same order, as the sequential UnionDistinct. The tests force
+// par > 1 explicitly (on a single-core machine the engine presets would
+// keep everything sequential) and widen the worker gate so goroutines
+// actually spawn. The vectorized kernels' twins live in vector_test.go.
 
-// withWorkers runs fn with the package worker gate set to n.
+// withWorkers runs fn with the process-wide scheduler's worker bound set
+// to n.
 func withWorkers(t *testing.T, n int, fn func()) {
 	t.Helper()
-	SetMaxWorkers(n)
-	defer SetMaxWorkers(runtime.GOMAXPROCS(0))
+	sched.Default().SetMaxWorkers(n)
+	defer sched.Default().SetMaxWorkers(runtime.GOMAXPROCS(0))
 	fn()
 }
 
@@ -91,88 +94,12 @@ func TestParallelKernelsMatchSequential(t *testing.T) {
 		for _, n := range parallelSizes {
 			rng := rand.New(rand.NewSource(int64(n) + 1))
 			r := randMixed(rng, n, 0.3)
-			// A distinct-schema right side for the join.
-			right := MustRelation(
-				MustSchema([]Column{Col("RK", TypeInt), {Name: "W", Type: TypeFloat, Nullable: true}}),
-				func() []Row {
-					rows := make([]Row, n/3+5)
-					for i := range rows {
-						w := Null
-						if rng.Float64() >= 0.2 {
-							w = NewFloat(rng.NormFloat64())
-						}
-						rows[i] = Row{NewInt(int64(rng.Intn(n/2 + 16))), w}
-					}
-					return rows
-				}(),
-			)
 			other := randMixed(rng, n/2+3, 0.3)
-			pred := Cmp("K", OpLt, NewInt(int64(n/4+8)))
-			aggs := []AggSpec{
-				{Func: "count", As: "N"},
-				{Func: "count", Col: "F", As: "NF"},
-				{Func: "sum", Col: "F", As: "SF"},
-				{Func: "sum", Col: "K", As: "SK"},
-				{Func: "avg", Col: "F", As: "AF"},
-				{Func: "min", Col: "F", As: "MinF"},
-				{Func: "max", Col: "S", As: "MaxS"},
-			}
 			for _, par := range parallelDegrees {
 				tag := fmt.Sprintf("n=%d par=%d", n, par)
 
-				seq, err1 := r.Select(pred)
-				got, err2 := r.SelectPar(par, pred)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s Select: %v / %v", tag, err1, err2)
-				}
-				sameRelation(t, tag+" Select", seq, got)
-
-				seq, err1 = r.Project("S", "K")
-				got, err2 = r.ProjectPar(par, "S", "K")
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s Project: %v / %v", tag, err1, err2)
-				}
-				sameRelation(t, tag+" Project", seq, got)
-
-				ext := func(row Row) Value { return NewFloat(float64(row[0].Int()) * 1.5) }
-				seq, err1 = r.Extend("D", TypeFloat, ext)
-				got, err2 = r.ExtendPar(par, "D", TypeFloat, ext)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s Extend: %v / %v", tag, err1, err2)
-				}
-				sameRelation(t, tag+" Extend", seq, got)
-
-				mcols := []Column{
-					{Name: "A", Type: TypeInt, Nullable: true},
-					{Name: "B", Type: TypeFloat, Nullable: true},
-				}
-				mfn := func(row Row, out []Value) {
-					out[0] = NewInt(row[0].Int() % 7)
-					out[1] = NewFloat(float64(row[0].Int()) / 3)
-				}
-				seq, err1 = r.ExtendMany(mcols, mfn)
-				got, err2 = r.ExtendManyPar(par, mcols, mfn)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s ExtendMany: %v / %v", tag, err1, err2)
-				}
-				sameRelation(t, tag+" ExtendMany", seq, got)
-
-				seq, err1 = r.Join(right, "K", "RK", "r_")
-				got, err2 = r.JoinPar(par, right, "K", "RK", "r_")
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s Join: %v / %v", tag, err1, err2)
-				}
-				sameRelation(t, tag+" Join", seq, got)
-
-				seq, err1 = r.GroupBy([]string{"G"}, aggs)
-				got, err2 = r.GroupByPar(par, []string{"G"}, aggs)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s GroupBy: %v / %v", tag, err1, err2)
-				}
-				sameRelation(t, tag+" GroupBy", seq, got)
-
-				seq, err1 = r.UnionDistinct([]string{"K"}, other)
-				got, err2 = r.UnionDistinctPar(par, []string{"K"}, other)
+				seq, err1 := r.UnionDistinct([]string{"K"}, other)
+				got, err2 := r.UnionDistinctPar(par, []string{"K"}, other)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("%s UnionDistinct: %v / %v", tag, err1, err2)
 				}
@@ -184,48 +111,13 @@ func TestParallelKernelsMatchSequential(t *testing.T) {
 					t.Fatalf("%s UnionDistinct(all): %v / %v", tag, err1, err2)
 				}
 				sameRelation(t, tag+" UnionDistinct(all)", seq, got)
-
-				seq, err1 = r.Sort("G", "K", "S")
-				got, err2 = r.SortPar(par, "G", "K", "S")
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s Sort: %v / %v", tag, err1, err2)
-				}
-				sameRelation(t, tag+" Sort", seq, got)
 			}
-		}
-	})
-}
-
-// TestParallelGroupByFloatSumBitIdentical drives the float accumulation
-// path hard: few groups, many rows per group, so any reassociation of the
-// float additions would change low-order bits.
-func TestParallelGroupByFloatSumBitIdentical(t *testing.T) {
-	withWorkers(t, 8, func() {
-		rng := rand.New(rand.NewSource(42))
-		n := 3 * morselSize
-		s := MustSchema([]Column{Col("G", TypeInt), Col("F", TypeFloat)})
-		rows := make([]Row, n)
-		for i := range rows {
-			rows[i] = Row{NewInt(int64(i % 5)), NewFloat(rng.NormFloat64() * 1e6)}
-		}
-		r := MustRelation(s, rows)
-		aggs := []AggSpec{{Func: "sum", Col: "F", As: "S"}, {Func: "avg", Col: "F", As: "A"}}
-		seq, err := r.GroupBy([]string{"G"}, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{2, 7} {
-			got, err := r.GroupByPar(par, []string{"G"}, aggs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRelation(t, fmt.Sprintf("par=%d", par), seq, got)
 		}
 	})
 }
 
 // failingPred errors on rows whose first column equals the trigger value,
-// exercising the error path of the parallel select.
+// exercising the error path of the columnar filter's row fallback.
 type failingPred struct{ trigger int64 }
 
 func (p failingPred) Eval(_ *Schema, row Row) (bool, error) {
@@ -237,44 +129,16 @@ func (p failingPred) Eval(_ *Schema, row Row) (bool, error) {
 
 func (p failingPred) String() string { return "FAILING" }
 
-func TestParallelSelectErrorMatchesSequential(t *testing.T) {
-	withWorkers(t, 8, func() {
-		n := 2*morselSize + 100
-		s := MustSchema([]Column{Col("K", TypeInt)})
-		rows := make([]Row, n)
-		for i := range rows {
-			rows[i] = Row{NewInt(int64(i))}
-		}
-		r := MustRelation(s, rows)
-		// Trigger in the second morsel: the first morsel is clean, so the
-		// parallel kernel must still surface this error, and only this one.
-		pred := failingPred{trigger: morselSize + 7}
-		_, seqErr := r.Select(pred)
-		if seqErr == nil {
-			t.Fatal("sequential Select did not fail")
-		}
-		for _, par := range parallelDegrees {
-			_, parErr := r.SelectPar(par, pred)
-			if parErr == nil {
-				t.Fatalf("par=%d: SelectPar did not fail", par)
-			}
-			if parErr.Error() != seqErr.Error() {
-				t.Fatalf("par=%d: error mismatch: seq %q, par %q", par, seqErr, parErr)
-			}
-		}
-	})
-}
-
 // TestParallelKernelsFuzzedIdentity tiles fuzzed keys past the morsel
 // threshold so the parallel path genuinely engages, then checks identity
-// for the order-sensitive kernels.
+// of the union-distinct first-occurrence order.
 func TestParallelKernelsFuzzedIdentity(t *testing.T) {
 	withWorkers(t, 8, func() {
 		f := func(keys []int64) bool {
 			if len(keys) == 0 {
 				keys = []int64{3}
 			}
-			// Tile to ~1.5 morsels so the kernels take the parallel path.
+			// Tile to ~1.5 morsels so the kernel takes the parallel path.
 			tiled := make([]Row, 0, morselSize*3/2+len(keys))
 			s := MustSchema([]Column{Col("K", TypeInt), Col("V", TypeInt)})
 			for len(tiled) < morselSize*3/2 {
@@ -283,31 +147,9 @@ func TestParallelKernelsFuzzedIdentity(t *testing.T) {
 				}
 			}
 			r := MustRelation(s, tiled)
-
-			g1, err1 := r.GroupBy([]string{"K"}, []AggSpec{{Func: "sum", Col: "V", As: "S"}})
-			g2, err2 := r.GroupByPar(3, []string{"K"}, []AggSpec{{Func: "sum", Col: "V", As: "S"}})
-			if err1 != nil || err2 != nil || !relationsIdentical(g1, g2) {
-				return false
-			}
 			u1, err1 := r.UnionDistinct([]string{"K"})
 			u2, err2 := r.UnionDistinctPar(3, []string{"K"})
-			if err1 != nil || err2 != nil || !relationsIdentical(u1, u2) {
-				return false
-			}
-			s1, err1 := r.Sort("K")
-			s2, err2 := r.SortPar(3, "K")
-			if err1 != nil || err2 != nil || !relationsIdentical(s1, s2) {
-				return false
-			}
-			// Join against the distinct keys (u1) so tiled duplicates don't
-			// explode the output quadratically.
-			uniq, err := u1.RenameAll(map[string]string{"V": "W"})
-			if err != nil {
-				return false
-			}
-			j1, err1 := r.Join(uniq, "K", "K", "r_")
-			j2, err2 := r.JoinPar(3, uniq, "K", "K", "r_")
-			return err1 == nil && err2 == nil && relationsIdentical(j1, j2)
+			return err1 == nil && err2 == nil && relationsIdentical(u1, u2)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 			t.Error(err)
@@ -331,44 +173,4 @@ func relationsIdentical(a, b *Relation) bool {
 		}
 	}
 	return true
-}
-
-func TestSetMaxWorkers(t *testing.T) {
-	defer SetMaxWorkers(runtime.GOMAXPROCS(0))
-	SetMaxWorkers(5)
-	if got := MaxWorkers(); got != 5 {
-		t.Fatalf("MaxWorkers() = %d, want 5", got)
-	}
-	SetMaxWorkers(0) // clamps to 1
-	if got := MaxWorkers(); got != 1 {
-		t.Fatalf("MaxWorkers() after clamp = %d, want 1", got)
-	}
-	// A saturated gate must not deadlock: the caller runs the work itself.
-	r := randMixed(rand.New(rand.NewSource(7)), morselSize+50, 0.2)
-	seq, err := r.Sort("K")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.SortPar(8, "K")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRelation(t, "Sort under saturated gate", seq, got)
-}
-
-// TestParallelRunPanicPropagates ensures a panicking worker does not kill
-// the process: the panic resurfaces on the calling goroutine.
-func TestParallelRunPanicPropagates(t *testing.T) {
-	withWorkers(t, 4, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("panic did not propagate to the caller")
-			}
-		}()
-		parallelRun(4, 64, func(task int) {
-			if task == 63 {
-				panic("worker exploded")
-			}
-		})
-	})
 }

@@ -14,10 +14,10 @@ import (
 type Relation struct {
 	schema *Schema
 	rows   []Row
-	// pool attributes the relation's parallel kernel work to a scheduler
-	// handle (the owning tenant/shard) for fair-share arbitration. Nil
-	// falls back to the process-wide default handle. The parallel kernels
-	// propagate it into their outputs so operator chains stay attributed.
+	// pool attributes the relation's parallel kernel work (the vectorized
+	// kernels and UnionDistinctPar) to a scheduler handle (the owning
+	// tenant/shard) for fair-share arbitration. Nil falls back to the
+	// process-wide default handle.
 	pool *sched.Handle
 }
 
@@ -84,8 +84,8 @@ func (r *Relation) View() *Relation {
 }
 
 // WithPool returns a view of the relation attributed to the given
-// scheduler handle; its parallel kernels (and theirs, transitively
-// through kernel outputs) submit work under that handle's fair share.
+// scheduler handle; its parallel kernels submit work under that handle's
+// fair share.
 // A nil handle returns the relation unchanged.
 func (r *Relation) WithPool(h *sched.Handle) *Relation {
 	if h == nil || r.pool == h {

@@ -8,32 +8,32 @@ import (
 // Vectorized kernels. Each XxxVec method is the batch-layout twin of the
 // corresponding row kernel: morsels are converted to typed column vectors
 // (filter) or processed through typed hash tables and accumulators (join,
-// group-by), and the result is stitched in morsel order. The kernels keep
-// the same discipline the parallel kernels established: output rows, row
-// order and float summation order are bit-identical to the sequential row
-// path. Inputs the typed fast paths cannot represent — float or mistyped
-// keys, uncompilable predicates, sub-threshold batches — fall back to the
-// row kernels, and every method reports which layout actually ran.
+// group-by), and the result is stitched in morsel order, so output rows,
+// row order and float summation order are bit-identical to the sequential
+// row kernel at any parallelism. Inputs the typed fast paths cannot
+// represent — float or mistyped keys, uncompilable predicates,
+// sub-threshold batches — fall back to the sequential row kernels, and
+// every method reports which layout actually ran.
 
 // vecMinRows is the smallest input the vectorized kernels accept; below
 // it the per-call compilation and conversion overhead outweighs the
 // per-row win and the row kernels run instead.
 const vecMinRows = 256
 
-// FilterVec is Select/SelectPar in columnar layout: the predicate is
-// compiled into typed bitmap passes (vecpred.go), each morsel extracts
-// only the referenced columns, and matching source rows are gathered from
-// the selection bitmap — zero per-row materialization, the output shares
-// the input's row storage just like the row kernels.
+// FilterVec is Select in columnar layout: the predicate is compiled into
+// typed bitmap passes (vecpred.go), each morsel extracts only the
+// referenced columns, and matching source rows are gathered from the
+// selection bitmap — zero per-row materialization, the output shares the
+// input's row storage just like the row kernels.
 func (r *Relation) FilterVec(par int, pred Predicate) (*Relation, Layout, error) {
 	n := len(r.rows)
 	if n < vecMinRows {
-		out, err := r.SelectPar(par, pred)
+		out, err := r.Select(pred)
 		return out, LayoutRow, err
 	}
 	prog, ok := compileVecPred(r.schema, pred)
 	if !ok {
-		out, err := r.SelectPar(par, pred)
+		out, err := r.Select(pred)
 		return out, LayoutRow, err
 	}
 	outs := make([][]Row, numMorsels(n))
@@ -76,13 +76,13 @@ func (r *Relation) FilterVec(par int, pred Predicate) (*Relation, Layout, error)
 	return &Relation{schema: r.schema, rows: rows}, LayoutColumnar, nil
 }
 
-// ProjectVec is Project/ProjectPar in batch layout: all output rows are
-// carved out of one backing value arena per call instead of one slice
-// allocation per row.
+// ProjectVec is Project in batch layout: all output rows are carved out
+// of one backing value arena per call instead of one slice allocation per
+// row.
 func (r *Relation) ProjectVec(par int, names ...string) (*Relation, Layout, error) {
 	n := len(r.rows)
 	if n < vecMinRows {
-		out, err := r.ProjectPar(par, names...)
+		out, err := r.Project(names...)
 		return out, LayoutRow, err
 	}
 	ps, err := r.schema.Project(names...)
@@ -109,12 +109,12 @@ func (r *Relation) ProjectVec(par int, names ...string) (*Relation, Layout, erro
 	return &Relation{schema: ps, rows: rows}, LayoutColumnar, nil
 }
 
-// ExtendVec is ExtendMany/ExtendManyPar in batch layout: one backing
-// value arena per call.
+// ExtendVec is ExtendMany in batch layout: one backing value arena per
+// call.
 func (r *Relation) ExtendVec(par int, cols []Column, fn ExtendFn) (*Relation, Layout, error) {
 	n := len(r.rows)
 	if n < vecMinRows {
-		out, err := r.ExtendManyPar(par, cols, fn)
+		out, err := r.ExtendMany(cols, fn)
 		return out, LayoutRow, err
 	}
 	all := make([]Column, len(r.schema.Columns)+len(cols))
@@ -146,10 +146,10 @@ func (r *Relation) ExtendVec(par int, cols []Column, fn ExtendFn) (*Relation, La
 // groupings keep the row kernels.
 func vecKeyType(t Type) bool { return intBacked(t) || t == TypeString }
 
-// HashJoinVec is Join/JoinPar with a typed build and probe: the hash
-// table maps raw int64 or string key payloads to right-row indices, so
-// build and probe skip the per-byte FNV hashing and Value dispatch of the
-// row kernel. Requires identically typed, non-float join columns; output
+// HashJoinVec is Join with a typed build and probe: the hash table maps
+// raw int64 or string key payloads to right-row indices, so build and
+// probe skip the per-byte FNV hashing and Value dispatch of the row
+// kernel. Requires identically typed, non-float join columns; output
 // rows are carved from per-morsel arenas in the exact order the row
 // kernel emits them.
 func (r *Relation) HashJoinVec(par int, o *Relation, leftCol, rightCol, clashPrefix string) (*Relation, Layout, error) {
@@ -161,7 +161,7 @@ func (r *Relation) HashJoinVec(par int, o *Relation, leftCol, rightCol, clashPre
 	rt := o.schema.Columns[spec.ri].Type
 	if lt != rt || !vecKeyType(lt) ||
 		(len(r.rows) < vecMinRows && len(o.rows) < vecMinRows) {
-		out, err := r.JoinPar(par, o, leftCol, rightCol, clashPrefix)
+		out, err := r.Join(o, leftCol, rightCol, clashPrefix)
 		return out, LayoutRow, err
 	}
 	li, ri := spec.li, spec.ri
@@ -184,7 +184,7 @@ func (r *Relation) HashJoinVec(par int, o *Relation, leftCol, rightCol, clashPre
 			continue
 		}
 		if v.typ != rt {
-			out, err := r.JoinPar(par, o, leftCol, rightCol, clashPrefix)
+			out, err := r.Join(o, leftCol, rightCol, clashPrefix)
 			return out, LayoutRow, err
 		}
 		if useStr {
@@ -221,7 +221,7 @@ func (r *Relation) HashJoinVec(par int, o *Relation, leftCol, rightCol, clashPre
 	})
 	for _, b := range bad {
 		if b {
-			out, err := r.JoinPar(par, o, leftCol, rightCol, clashPrefix)
+			out, err := r.Join(o, leftCol, rightCol, clashPrefix)
 			return out, LayoutRow, err
 		}
 	}
@@ -647,7 +647,7 @@ type vecMergedGroup struct {
 	idx    [][]int32
 }
 
-// GroupAggVec is GroupBy/GroupByPar with typed hashing and fused typed
+// GroupAggVec is GroupBy with typed hashing and fused typed
 // folds: phase 1 assigns rows to groups through a cheap multiply-mix hash
 // and payload-level key comparisons; phase 2 folds each group's rows — in
 // global row order, so float sums reproduce the sequential operation
@@ -666,7 +666,7 @@ func (r *Relation) GroupAggVec(par int, groupCols []string, aggs []AggSpec) (*Re
 		return nil, LayoutRow, err
 	}
 	rowFallback := func() (*Relation, Layout, error) {
-		out, err := r.GroupByPar(par, groupCols, aggs)
+		out, err := r.GroupBy(groupCols, aggs)
 		return out, LayoutRow, err
 	}
 	if n < vecMinRows || n > math.MaxInt32 {
@@ -800,7 +800,7 @@ func (r *Relation) GroupAggVec(par int, groupCols []string, aggs []AggSpec) (*Re
 	w := len(spec.out.Columns)
 	backing := make([]Value, len(order)*w)
 	out := make([]Row, len(order))
-	r.runPar(par, len(order), func(gi int) {
+	r.runTasks(par, len(order), func(gi int) {
 		g := order[gi]
 		states := g.states
 		if replay {
@@ -836,7 +836,7 @@ func (r *Relation) GroupAggVec(par int, groupCols []string, aggs []AggSpec) (*Re
 // is extended with the computed columns and folded into its group in the
 // same pass, so the extended relation — the widest intermediate of the
 // analytics chains — is never materialized. The output is bit-identical
-// to ExtendManyPar followed by GroupByPar: group keys are the first-seen
+// to ExtendMany followed by GroupBy: group keys are the first-seen
 // row's cells (computed cells included), groups emit in first-seen
 // order, and float sums fold in scan order.
 //
@@ -849,11 +849,11 @@ func (r *Relation) GroupAggVec(par int, groupCols []string, aggs []AggSpec) (*Re
 func (r *Relation) GroupAggExtVec(par int, cols []Column, fn ExtendFn, groupCols []string, aggs []AggSpec) (*Relation, Layout, error) {
 	n := len(r.rows)
 	rowFallback := func() (*Relation, Layout, error) {
-		ext, err := r.ExtendManyPar(par, cols, fn)
+		ext, err := r.ExtendMany(cols, fn)
 		if err != nil {
 			return nil, LayoutRow, err
 		}
-		out, err := ext.GroupByPar(par, groupCols, aggs)
+		out, err := ext.GroupBy(groupCols, aggs)
 		return out, LayoutRow, err
 	}
 	if n < vecMinRows || n > math.MaxInt32 {
@@ -883,7 +883,7 @@ func (r *Relation) GroupAggExtVec(par int, cols []Column, fn ExtendFn, groupCols
 	k := len(r.schema.Columns)
 	w := len(all)
 	if par > 1 && numMorsels(n) > 1 {
-		out, ok := r.groupAggExtVecPar(par, spec, plans, checks, fn, k, w)
+		out, ok := r.groupAggExtVecParallel(par, spec, plans, checks, fn, k, w)
 		if !ok {
 			return rowFallback()
 		}
@@ -962,7 +962,7 @@ func (r *Relation) GroupAggExtVec(par int, cols []Column, fn ExtendFn, groupCols
 	return &Relation{schema: spec.out, rows: out}, LayoutColumnar, nil
 }
 
-// groupAggExtVecPar is the parallel fused extend+group fold: phase 1
+// groupAggExtVecParallel is the parallel fused extend+group fold: phase 1
 // extends each row into a per-worker scratch tail, partitions on the
 // wide key and folds the order-exact lanes locally; the cross-morsel
 // merge combines those partial states in morsel order; phase 2 re-runs
@@ -971,7 +971,7 @@ func (r *Relation) GroupAggExtVec(par int, cols []Column, fn ExtendFn, groupCols
 // folds reproduce the sequential operation sequence bit for bit. The
 // wide relation is never materialized. ok=false reports a failed lane
 // check (the caller falls back to the row kernels).
-func (r *Relation) groupAggExtVecPar(par int, spec *groupSpec, plans []vecAggPlan, checks []vecLaneCheck, fn ExtendFn, k, w int) (*Relation, bool) {
+func (r *Relation) groupAggExtVecParallel(par int, spec *groupSpec, plans []vecAggPlan, checks []vecLaneCheck, fn ExtendFn, k, w int) (*Relation, bool) {
 	n := len(r.rows)
 	exact, replay := vecExactLanes(plans)
 	nm := numMorsels(n)
@@ -1071,7 +1071,7 @@ func (r *Relation) groupAggExtVecPar(par int, spec *groupSpec, plans []vecAggPla
 	ow := len(spec.out.Columns)
 	backing := make([]Value, len(order)*ow)
 	out := make([]Row, len(order))
-	r.runPar(par, len(order), func(gi int) {
+	r.runTasks(par, len(order), func(gi int) {
 		g := order[gi]
 		states := g.states
 		if replay {

@@ -640,9 +640,9 @@ func TestGroupAggExtVecParallelFused(t *testing.T) {
 			{Func: "sum", Col: "F", As: "SF"},
 			{Func: "avg", Col: "F", As: "AF"},
 		}
-		ext, err := r.ExtendManyPar(0, cols, fn)
+		ext, err := r.ExtendMany(cols, fn)
 		if err != nil {
-			t.Fatalf("ExtendManyPar: %v", err)
+			t.Fatalf("ExtendMany: %v", err)
 		}
 		want, err := ext.GroupBy(by, aggs)
 		if err != nil {
@@ -663,7 +663,7 @@ func TestGroupAggExtVecParallelFused(t *testing.T) {
 
 // TestGroupAggExtVecMatchesRowPipeline pins the fused extend+group
 // kernel — the ComputeOrdersMV shape — against the row pipeline it
-// replaces (ExtendManyPar followed by GroupByPar), across sizes,
+// replaces (ExtendMany followed by GroupBy), across sizes,
 // degrees and NULL-bearing time columns.
 func TestGroupAggExtVecMatchesRowPipeline(t *testing.T) {
 	withWorkers(t, 8, func() {
@@ -692,9 +692,9 @@ func TestGroupAggExtVecMatchesRowPipeline(t *testing.T) {
 		for _, n := range vectorSizes {
 			r := randVecRelation(rand.New(rand.NewSource(int64(n)+907)), n, 0.3)
 			fn := mkFn(r)
-			ext, err := r.ExtendManyPar(0, cols, fn)
+			ext, err := r.ExtendMany(cols, fn)
 			if err != nil {
-				t.Fatalf("n=%d: ExtendManyPar: %v", n, err)
+				t.Fatalf("n=%d: ExtendMany: %v", n, err)
 			}
 			want, err := ext.GroupBy(by, aggs)
 			if err != nil {

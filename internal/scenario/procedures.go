@@ -169,11 +169,9 @@ func (rf *mvRefresher) applyInserts(db *rel.Database, d *rel.Delta) (*rel.Relati
 // refresh path and the driver's model-vs-stored verification share this
 // single definition of the view.
 func ComputeOrdersMV(db *rel.Database) (*rel.Relation, uint64, error) {
-	par := db.Parallelism()
-	columnar := db.Columnar()
 	orders, version := db.MustTable("Orders").ScanWithVersion()
 	// Table scans carry no scheduler attribution; tag the fold's input so
-	// the whole kernel chain bills to this instance's fair-share handle.
+	// the vectorized fold bills to this instance's fair-share handle.
 	orders = orders.WithPool(db.Scheduler())
 	dateOrd := orders.Schema().MustOrdinal("Orderdate")
 	// The extension columns and the closure are shared between the row and
@@ -196,18 +194,18 @@ func ComputeOrdersMV(db *rel.Database) (*rel.Relation, uint64, error) {
 		agg *rel.Relation
 		err error
 	)
-	if columnar {
+	if db.Columnar() {
 		// Fused extend+group: the 9-wide extended relation is never
 		// materialized (GroupAggExtVec is pinned bit-identical to the
-		// row pipeline below).
-		agg, _, err = orders.GroupAggExtVec(par, timeCols, timeFn, mvGroup, mvAggs)
+		// sequential row pipeline below).
+		agg, _, err = orders.GroupAggExtVec(db.Parallelism(), timeCols, timeFn, mvGroup, mvAggs)
 	} else {
 		var withTime *rel.Relation
-		withTime, err = orders.ExtendManyPar(par, timeCols, timeFn)
+		withTime, err = orders.ExtendMany(timeCols, timeFn)
 		if err != nil {
 			return nil, 0, err
 		}
-		agg, err = withTime.GroupByPar(par, mvGroup, mvAggs)
+		agg, err = withTime.GroupBy(mvGroup, mvAggs)
 	}
 	if err != nil {
 		return nil, 0, err

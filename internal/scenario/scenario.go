@@ -210,8 +210,10 @@ func (s *Scenario) DB(system string) *rel.Database {
 
 // SetParallelism propagates the integration engine's intra-operator
 // parallel degree to the stored procedures of the warehouse and data-mart
-// layers (the OrdersMV refreshes of P13/P15). The federated engine leaves
-// the degree at 0, so its measured profile is unaffected.
+// layers (the OrdersMV refreshes of P13/P15). The degree applies only to
+// the vectorized kernels (see SetColumnar); the row kernels are always
+// sequential. The federated engine leaves the degree at 0, so its
+// measured profile is unaffected.
 func (s *Scenario) SetParallelism(par int) {
 	s.ES.Instance(schema.SysDWH).SetParallelism(par)
 	for _, v := range schema.Marts {
