@@ -28,8 +28,8 @@ import (
 	"repro/internal/mtm"
 	"repro/internal/processes"
 	rel "repro/internal/relational"
-	"repro/internal/sched"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/schedule"
 	"repro/internal/stx"
 	x "repro/internal/xmlmsg"
@@ -698,7 +698,7 @@ func BenchmarkVectorKernels(b *testing.B) {
 	b.Run("groupagg/vec", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, layout, err := orders.GroupAggVec(par, groupCols, aggs)
+			out, layout, err := orders.GroupAggExtVec(par, nil, func(rel.Row, []rel.Value) {}, groupCols, aggs)
 			if err != nil || out.Len() == 0 {
 				b.Fatalf("empty aggregation (%v)", err)
 			}

@@ -1,3 +1,5 @@
+//go:build linux
+
 package dipbench
 
 // Smoke tests keeping the runnable examples honest: each example must
@@ -9,22 +11,30 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
 
 // runExample builds the example package args[0] into a temporary
 // directory and runs the binary with args[1:]. Running the binary itself,
-// not `go run`, means the timeout kills the process doing the work.
+// not `go run`, means the timeout kills the process doing the work. The
+// timeout covers the build too, and both children get SIGKILL if the test
+// binary dies first, so a killed `go test` leaves no example running.
 func runExample(t *testing.T, timeout time.Duration, args ...string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), filepath.Base(args[0]))
-	if out, err := exec.Command("go", "build", "-o", bin, args[0]).CombinedOutput(); err != nil {
-		t.Fatalf("build %s: %v\n%s", args[0], err, out)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	out, err := exec.CommandContext(ctx, bin, args[1:]...).CombinedOutput()
+	command := func(name string, arg ...string) *exec.Cmd {
+		cmd := exec.CommandContext(ctx, name, arg...)
+		cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
+		return cmd
+	}
+	bin := filepath.Join(t.TempDir(), filepath.Base(args[0]))
+	if out, err := command("go", "build", "-o", bin, args[0]).CombinedOutput(); err != nil {
+		t.Fatalf("build %s: %v\n%s", args[0], err, out)
+	}
+	out, err := command(bin, args[1:]...).CombinedOutput()
 	if ctx.Err() != nil {
 		t.Fatalf("example %v timed out after %v", args, timeout)
 	}

@@ -49,7 +49,7 @@ func seedOrders(b *testing.B, t *rel.Table, base, n int) {
 // table receives a 500-row batch; "full" recomputes the view from all
 // rows, "incremental" folds only the batch into the stored groups. The
 // _columnar variants repeat both arms with the vectorized kernels
-// (ExtendVec + GroupAggVec replacing the row-at-a-time extend and the
+// (the fused GroupAggExtVec replacing the row-at-a-time extend and the
 // per-row-map aggregation) — the full-recompute fold is the PR6 ≥2x
 // target (results/perf_pr6.md).
 func BenchmarkIncrementalMV(b *testing.B) {

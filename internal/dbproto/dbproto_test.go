@@ -11,9 +11,11 @@ func startRemote(t *testing.T) (*Remote, *rel.Database, *Client) {
 	t.Helper()
 	srv := rel.NewServer(0)
 	db := srv.CreateInstance("CDB")
-	db.MustExec(`CREATE TABLE Orders (
-		Ordkey BIGINT NOT NULL, Status VARCHAR(16), Total DOUBLE,
-		PRIMARY KEY (Ordkey))`)
+	db.MustCreateTable("Orders", rel.MustSchema([]rel.Column{
+		rel.Col("Ordkey", rel.TypeInt),
+		rel.NullableCol("Status", rel.TypeString),
+		rel.NullableCol("Total", rel.TypeFloat),
+	}, "Ordkey"))
 	remote, err := Serve(srv)
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func TestStoreFaultMapsTo503(t *testing.T) {
 	// classify it as retryable.
 	srv := rel.NewServer(0)
 	db := srv.CreateInstance("CDB")
-	db.MustExec(`CREATE TABLE T (K BIGINT NOT NULL, PRIMARY KEY (K))`)
+	db.MustCreateTable("T", rel.MustSchema([]rel.Column{rel.Col("K", rel.TypeInt)}, "K"))
 	remote, err := Serve(srv)
 	if err != nil {
 		t.Fatal(err)

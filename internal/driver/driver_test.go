@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/monitor"
 	"repro/internal/processes"
+	rel "repro/internal/relational"
 	"repro/internal/scenario"
 	"repro/internal/schedule"
 	"repro/internal/schema"
@@ -348,7 +349,7 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	if ords.Len() == 0 {
 		t.Fatal("no orders to tamper with")
 	}
-	if _, err := dwh.Exec("DELETE FROM Orders WHERE Ordkey = " + ords.Get(0, "Ordkey").String()); err != nil {
+	if _, err := dwh.MustTable("Orders").Delete(rel.ColEq("Ordkey", ords.Get(0, "Ordkey"))); err != nil {
 		t.Fatal(err)
 	}
 	v = Verify(r.s, gen, testScale(0.005))

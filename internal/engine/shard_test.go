@@ -43,9 +43,9 @@ func TestShardOfRegionOwnership(t *testing.T) {
 	// One shard per region: every group A/B process lands on the shard
 	// owning its business region, in schema.Regions order.
 	want := map[string]int{
-		"P01": 2, // Asia
-		"P02": 1, // Europe
-		"P03": 3, // America
+		"P01": 2,                               // Asia
+		"P02": 1,                               // Europe
+		"P03": 3,                               // America
 		"P04": 1, "P05": 1, "P06": 1, "P07": 1, // Vienna chain (Europe)
 		"P08": 2, "P09": 2, // Hongkong (Asia)
 		"P10": 3, "P11": 3, // America

@@ -45,9 +45,11 @@ func TestFaultStreamGolden(t *testing.T) {
 
 	srv := rel.NewServer(0)
 	db := srv.CreateInstance("CDB")
-	db.MustExec(`CREATE TABLE Orders (
-		Ordkey BIGINT NOT NULL, Status VARCHAR(16), Total DOUBLE,
-		PRIMARY KEY (Ordkey))`)
+	db.MustCreateTable("Orders", rel.MustSchema([]rel.Column{
+		rel.Col("Ordkey", rel.TypeInt),
+		rel.NullableCol("Status", rel.TypeString),
+		rel.NullableCol("Total", rel.TypeFloat),
+	}, "Ordkey"))
 	db.RegisterProcedure("sp_add", func(_ *rel.Database, args []rel.Value) (*rel.Relation, error) {
 		s := rel.MustSchema([]rel.Column{rel.Col("sum", rel.TypeInt)})
 		return rel.NewRelation(s, []rel.Row{{rel.NewInt(args[0].Int() + args[1].Int())}})

@@ -40,7 +40,7 @@ var transports = []transport{
 	}},
 	{"dbproto", "db", "CDB", 128 << 20, func(t *testing.T) (string, func() error) {
 		srv := rel.NewServer(0)
-		srv.CreateInstance("CDB").MustExec(`CREATE TABLE T (K BIGINT NOT NULL, PRIMARY KEY (K))`)
+		srv.CreateInstance("CDB").MustCreateTable("T", rel.MustSchema([]rel.Column{rel.Col("K", rel.TypeInt)}, "K"))
 		remote, err := dbproto.Serve(srv)
 		if err != nil {
 			t.Fatal(err)

@@ -134,8 +134,8 @@ func NewP12RegionExtract(region string, emit ShardEmit) *mtm.Process {
 			// store's scan evaluates it, the process only sees its region.
 			mtm.Invoke{Service: schema.SysCDB, Operation: mtm.OpQuery,
 				Table: "Customer",
-				Pred: rel.And(notIntegrated, rel.ColEq("Region", rel.NewString(region))),
-				Out:  "cust_r"},
+				Pred:  rel.And(notIntegrated, rel.ColEq("Region", rel.NewString(region))),
+				Out:   "cust_r"},
 			mtm.Projection{In: "cust_r", Out: "cust_wh",
 				Cols: []string{"Custkey", "Name", "Address", "Phone", "City", "Nation", "Region"}},
 			validateStep("cust_wh", schema.WHCustomer),
@@ -372,6 +372,6 @@ func NewP15Region(region string, incremental bool) (*mtm.Process, error) {
 	return &mtm.Process{
 		ID: "P15@" + region, Name: name,
 		Group: mtm.GroupD, Event: mtm.E2,
-		Ops:   []mtm.Operator{iv},
+		Ops: []mtm.Operator{iv},
 	}, nil
 }

@@ -6,29 +6,27 @@ import (
 	rel "repro/internal/relational"
 )
 
-// ExampleDatabase_Exec shows the SQL subset of the relational substrate.
+// ExampleDatabase_Exec shows the SQL the relational substrate speaks: a
+// multi-row INSERT (the Fig. 9 a) queue path) and WHERE-clause
+// predicates as they travel on the remote database wire.
 func ExampleDatabase_Exec() {
 	db := rel.NewDatabase("demo")
-	db.MustExec(`CREATE TABLE Orders (
-		Ordkey BIGINT NOT NULL,
-		Status VARCHAR(16),
-		Total DOUBLE,
-		PRIMARY KEY (Ordkey)
-	)`)
-	db.MustExec(`INSERT INTO Orders VALUES (1, 'OPEN', 100.5), (2, 'CLOSED', 50), (3, 'OPEN', 20)`)
+	orders := db.MustCreateTable("Orders", rel.MustSchema([]rel.Column{
+		rel.Col("Ordkey", rel.TypeInt),
+		rel.NullableCol("Status", rel.TypeString),
+		rel.NullableCol("Total", rel.TypeFloat),
+	}, "Ordkey"))
+	res, _ := db.Exec(`INSERT INTO Orders VALUES (1, 'OPEN', 100.5), (2, 'CLOSED', 50), (3, 'OPEN', 20)`)
+	fmt.Printf("inserted %d rows\n", res.Get(0, "affected").Int())
 
-	open := db.MustExec(`SELECT count(*) AS n, sum(Total) AS total FROM Orders WHERE Status = 'OPEN'`)
-	fmt.Printf("%d open orders totalling %.1f\n",
-		open.Get(0, "n").Int(), open.Get(0, "total").Float())
-
-	byStatus := db.MustExec(`SELECT Status, count(*) AS n FROM Orders GROUP BY Status ORDER BY Status`)
-	for i := 0; i < byStatus.Len(); i++ {
-		fmt.Printf("%s: %d\n", byStatus.Get(i, "Status").Str(), byStatus.Get(i, "n").Int())
+	pred, _ := rel.ParsePredicate(`Status = 'OPEN' AND Total > 50`)
+	open, _ := orders.SelectWhere(pred)
+	for i := 0; i < open.Len(); i++ {
+		fmt.Printf("order %d: %.1f\n", open.Get(i, "Ordkey").Int(), open.Get(i, "Total").Float())
 	}
 	// Output:
-	// 2 open orders totalling 120.5
-	// CLOSED: 1
-	// OPEN: 2
+	// inserted 3 rows
+	// order 1: 100.5
 }
 
 // ExampleRelation_UnionDistinct shows the UNION DISTINCT operator that
@@ -66,7 +64,9 @@ func ExampleTable_AddTrigger() {
 		fmt.Printf("trigger processing message %d: %s\n", new[0].Int(), new[1].Str())
 		return nil
 	})
-	db.MustExec(`INSERT INTO P04_Queue VALUES (1, '<ViennaOrder/>')`)
+	if _, err := db.Exec(`INSERT INTO P04_Queue VALUES (1, '<ViennaOrder/>')`); err != nil {
+		panic(err)
+	}
 	// Output:
 	// trigger processing message 1: <ViennaOrder/>
 }

@@ -139,3 +139,110 @@ func TestParsePredicateRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// whereKeys inserts rows into a fresh Orders table, filters it with the
+// parsed WHERE expression the way the dbproto server does, and returns
+// the matching Ordkeys in ascending order.
+func whereKeys(t *testing.T, insert, expr string) []int64 {
+	t.Helper()
+	db := newTestDB(t)
+	mustExec(t, db, insert)
+	pred, err := ParsePredicate(expr)
+	if err != nil {
+		t.Fatalf("%q: %v", expr, err)
+	}
+	got, err := db.Table("Orders").SelectWhere(pred)
+	if err != nil {
+		t.Fatalf("%q: %v", expr, err)
+	}
+	got, err = got.Sort("Ordkey")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []int64{}
+	for i := 0; i < got.Len(); i++ {
+		keys = append(keys, got.Get(i, "Ordkey").Int())
+	}
+	return keys
+}
+
+func wantKeys(t *testing.T, expr string, got []int64, want ...int64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%q: keys %v, want %v", expr, got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%q: keys %v, want %v", expr, got, want)
+		}
+	}
+}
+
+func TestSQLWherePrecedence(t *testing.T) {
+	ins := `INSERT INTO Orders VALUES
+		(1, 10, 'OPEN', 10), (2, 10, 'CLOSED', 20),
+		(3, 20, 'OPEN', 30), (4, 20, 'CLOSED', 40)`
+	// AND binds tighter than OR: matches (custkey=10 AND status=OPEN) or ordkey=4.
+	for _, c := range []struct {
+		expr string
+		want []int64
+	}{
+		{`Custkey = 10 AND Status = 'OPEN' OR Ordkey = 4`, []int64{1, 4}},
+		{`Custkey = 10 AND (Status = 'OPEN' OR Ordkey = 4)`, []int64{1}}, // parentheses override
+		{`NOT Custkey = 10 AND Status = 'OPEN'`, []int64{3}},             // NOT binds tightest
+	} {
+		wantKeys(t, c.expr, whereKeys(t, ins, c.expr), c.want...)
+	}
+}
+
+func TestSQLNullHandling(t *testing.T) {
+	ins := `INSERT INTO Orders VALUES (1, NULL, 'A', 1), (2, 5, 'B', 2)`
+	wantKeys(t, "IS NULL", whereKeys(t, ins, `Custkey IS NULL`), 1)
+	wantKeys(t, "IS NOT NULL", whereKeys(t, ins, `Custkey IS NOT NULL`), 2)
+	// NULL never compares equal or unequal.
+	wantKeys(t, "= with NULL present", whereKeys(t, ins, `Custkey = 5`), 2)
+	wantKeys(t, "<> with NULL present", whereKeys(t, ins, `Custkey <> 5`))
+}
+
+func TestSQLLike(t *testing.T) {
+	ins := `INSERT INTO Orders VALUES (1,1,'OPEN',1),(2,2,'REOPENED',2),(3,3,'CLOSED',3)`
+	wantKeys(t, "LIKE", whereKeys(t, ins, `Status LIKE '%OPEN%'`), 1, 2)
+	wantKeys(t, "LIKE prefix", whereKeys(t, ins, `Status LIKE 'OP%'`), 1)
+	if _, err := ParsePredicate(`Status LIKE 5`); err == nil {
+		t.Error("non-string LIKE pattern accepted")
+	}
+}
+
+func TestSQLStringEscaping(t *testing.T) {
+	ins := `INSERT INTO Orders VALUES (1, 1, 'O''Brien', 1), (2, 2, 'OBrien', 2)`
+	wantKeys(t, "escaped string", whereKeys(t, ins, `Status = 'O''Brien'`), 1)
+}
+
+func TestSQLNegativeNumbers(t *testing.T) {
+	ins := `INSERT INTO Orders VALUES (1, -5, 'A', -1.5), (2, 5, 'B', 1.5)`
+	wantKeys(t, "negative int", whereKeys(t, ins, `Custkey = -5`), 1)
+	wantKeys(t, "negative float", whereKeys(t, ins, `Total < -1.0`), 1)
+}
+
+func TestSQLColumnColumnComparison(t *testing.T) {
+	ins := `INSERT INTO Orders VALUES (1, 1, 'A', 1), (2, 99, 'B', 2)`
+	wantKeys(t, "col=col", whereKeys(t, ins, `Ordkey = Custkey`), 1)
+	wantKeys(t, "col<col", whereKeys(t, ins, `Ordkey < Custkey`), 2)
+}
+
+func TestSQLInPredicate(t *testing.T) {
+	ins := `INSERT INTO Orders VALUES (1,1,'A',1),(2,2,'B',2),(3,3,'C',3),(4,4,'D',4)`
+	wantKeys(t, "IN", whereKeys(t, ins, `Ordkey IN (1, 3)`), 1, 3)
+	wantKeys(t, "string IN", whereKeys(t, ins, `Status IN ('B', 'D', 'Z')`), 2, 4)
+	wantKeys(t, "NOT IN via NOT", whereKeys(t, ins, `NOT Ordkey IN (1, 2, 3)`), 4)
+	for _, bad := range []string{`Ordkey IN ()`, `Ordkey IN (1, 2`} {
+		if _, err := ParsePredicate(bad); err == nil {
+			t.Errorf("accepted %q", bad)
+		}
+	}
+}
+
+func TestSQLCaseInsensitiveKeywordsAndColumns(t *testing.T) {
+	ins := `insert into Orders values (1, 1, 'A', 1), (2, 2, 'B', 2)`
+	wantKeys(t, "case insensitivity", whereKeys(t, ins, `ORDKEY = 1 and custkey is not null`), 1)
+}

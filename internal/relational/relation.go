@@ -340,25 +340,6 @@ func (r *Relation) Sort(cols ...string) (*Relation, error) {
 	return &Relation{schema: r.schema, rows: rows}, nil
 }
 
-// Extend returns a relation with an additional computed column appended.
-func (r *Relation) Extend(name string, t Type, fn func(Row) Value) (*Relation, error) {
-	cols := make([]Column, len(r.schema.Columns)+1)
-	copy(cols, r.schema.Columns)
-	cols[len(cols)-1] = Column{Name: name, Type: t, Nullable: true}
-	es, err := NewSchema(cols, r.schema.KeyNames()...)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Row, len(r.rows))
-	for i, row := range r.rows {
-		nr := make(Row, len(row)+1)
-		copy(nr, row)
-		nr[len(row)] = fn(row)
-		rows[i] = nr
-	}
-	return &Relation{schema: es, rows: rows}, nil
-}
-
 // ExtendFn computes one row's extension cells into out (one slot per
 // added column). The operator contract is purity: the output may depend
 // only on row's cells — no captured mutable state, no dependence on call
@@ -371,8 +352,7 @@ func (r *Relation) Extend(name string, t Type, fn func(Row) Value) (*Relation, e
 type ExtendFn func(row Row, out []Value)
 
 // ExtendMany appends several computed columns in a single pass. fn fills
-// out (one slot per added column) for each input row; it is the n-column
-// form of Extend and avoids re-copying the relation once per column.
+// out (one slot per added column) for each input row.
 func (r *Relation) ExtendMany(cols []Column, fn ExtendFn) (*Relation, error) {
 	all := make([]Column, len(r.schema.Columns)+len(cols))
 	copy(all, r.schema.Columns)

@@ -297,18 +297,24 @@ func TestSort(t *testing.T) {
 }
 
 func TestExtend(t *testing.T) {
-	got, err := sampleOrders().Extend("Doubled", TypeFloat, func(r Row) Value {
-		return NewFloat(r[3].Float() * 2)
+	cols := []Column{NullableCol("Doubled", TypeFloat), NullableCol("Big", TypeBool)}
+	src := sampleOrders()
+	got, err := src.ExtendMany(cols, func(r Row, out []Value) {
+		out[0] = NewFloat(r[3].Float() * 2)
+		out[1] = NewBool(r[3].Float() > 150)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Get(0, "Doubled").Float() != 200 {
-		t.Errorf("Extend: %v", got.Row(0))
+	if got.Get(0, "Doubled").Float() != 200 || got.Get(0, "Big").Bool() || !got.Get(1, "Big").Bool() {
+		t.Errorf("ExtendMany: %v / %v", got.Row(0), got.Row(1))
 	}
-	// Original relation untouched.
-	if len(sampleOrders().Schema().Columns) != 4 {
+	// Source relation untouched.
+	if len(src.Schema().Columns) != 4 || len(src.Row(0)) != 4 {
 		t.Error("source relation mutated")
+	}
+	if _, err := src.ExtendMany([]Column{Col("Total", TypeInt)}, func(Row, []Value) {}); err == nil {
+		t.Error("duplicate column name accepted")
 	}
 }
 

@@ -6,21 +6,13 @@ import (
 	"strings"
 )
 
-// Exec parses and executes one SQL statement against the database. It
-// supports the subset needed by the DIPBench external systems and its
-// tests:
+// Exec parses and executes one SQL statement against the database. The
+// only statement is the multi-row INSERT that feeds the Fig. 9 a) queue
+// tables:
 //
-//	CREATE TABLE t (c TYPE [NOT NULL], ..., PRIMARY KEY (c, ...))
-//	DROP TABLE t
-//	TRUNCATE TABLE t
 //	INSERT INTO t VALUES (v, ...), (v, ...)
-//	SELECT * | c, ... FROM t [WHERE pred] [ORDER BY c [ASC|DESC], ...] [LIMIT n]
-//	DELETE FROM t [WHERE pred]
-//	UPDATE t SET c = v, ... [WHERE pred]
-//	CALL proc(v, ...)
 //
-// For statements without a result set, Exec returns a single-row relation
-// with one BIGINT column "affected".
+// Exec returns a single-row relation with one BIGINT column "affected".
 func (db *Database) Exec(sql string) (*Relation, error) {
 	toks, err := lexSQL(sql)
 	if err != nil {
@@ -35,15 +27,6 @@ func (db *Database) Exec(sql string) (*Relation, error) {
 		return nil, fmt.Errorf("sql: trailing input at %d (in %q)", p.cur().pos, truncateSQL(sql))
 	}
 	return rel, nil
-}
-
-// MustExec is Exec that panics on error; for fixture setup.
-func (db *Database) MustExec(sql string) *Relation {
-	r, err := db.Exec(sql)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 func truncateSQL(s string) string {
@@ -116,201 +99,10 @@ func (p *sqlParser) ident() (string, error) {
 }
 
 func (p *sqlParser) statement() (*Relation, error) {
-	switch {
-	case p.acceptKeyword("SELECT"):
-		return p.selectStmt()
-	case p.acceptKeyword("INSERT"):
+	if p.acceptKeyword("INSERT") {
 		return p.insertStmt()
-	case p.acceptKeyword("DELETE"):
-		return p.deleteStmt()
-	case p.acceptKeyword("UPDATE"):
-		return p.updateStmt()
-	case p.acceptKeyword("CREATE"):
-		return p.createStmt()
-	case p.acceptKeyword("DROP"):
-		return p.dropStmt()
-	case p.acceptKeyword("TRUNCATE"):
-		return p.truncateStmt()
-	case p.acceptKeyword("CALL"):
-		return p.callStmt()
-	default:
-		return nil, fmt.Errorf("unsupported statement starting with %q", p.cur().text)
 	}
-}
-
-func (p *sqlParser) createStmt() (*Relation, error) {
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSymbol("("); err != nil {
-		return nil, err
-	}
-	var cols []Column
-	var keyNames []string
-	for {
-		if p.acceptKeyword("PRIMARY") {
-			if err := p.expectKeyword("KEY"); err != nil {
-				return nil, err
-			}
-			if err := p.expectSymbol("("); err != nil {
-				return nil, err
-			}
-			for {
-				k, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				keyNames = append(keyNames, k)
-				if !p.acceptSymbol(",") {
-					break
-				}
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-		} else {
-			cn, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			ct, err := p.columnType()
-			if err != nil {
-				return nil, err
-			}
-			nullable := true
-			if p.acceptKeyword("NOT") {
-				if err := p.expectKeyword("NULL"); err != nil {
-					return nil, err
-				}
-				nullable = false
-			}
-			cols = append(cols, Column{Name: cn, Type: ct, Nullable: nullable})
-		}
-		if !p.acceptSymbol(",") {
-			break
-		}
-	}
-	if err := p.expectSymbol(")"); err != nil {
-		return nil, err
-	}
-	// Primary-key columns are implicitly NOT NULL.
-	for _, k := range keyNames {
-		for i := range cols {
-			if strings.EqualFold(cols[i].Name, k) {
-				cols[i].Nullable = false
-			}
-		}
-	}
-	schema, err := NewSchema(cols, keyNames...)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.db.CreateTable(name, schema); err != nil {
-		return nil, err
-	}
-	return affectedRel(0), nil
-}
-
-func (p *sqlParser) columnType() (Type, error) {
-	t := p.cur()
-	if t.kind != tokKeyword {
-		return TypeNull, fmt.Errorf("expected type at %d, got %q", t.pos, t.text)
-	}
-	p.i++
-	var ct Type
-	switch t.text {
-	case "BIGINT":
-		ct = TypeInt
-	case "DOUBLE":
-		ct = TypeFloat
-	case "VARCHAR":
-		ct = TypeString
-	case "BOOLEAN":
-		ct = TypeBool
-	case "TIMESTAMP":
-		ct = TypeTime
-	default:
-		return TypeNull, fmt.Errorf("unknown type %q at %d", t.text, t.pos)
-	}
-	// Optional length, e.g. VARCHAR(255) — parsed and ignored.
-	if p.acceptSymbol("(") {
-		if p.cur().kind != tokNumber {
-			return TypeNull, fmt.Errorf("expected length at %d", p.cur().pos)
-		}
-		p.i++
-		if err := p.expectSymbol(")"); err != nil {
-			return TypeNull, err
-		}
-	}
-	return ct, nil
-}
-
-func (p *sqlParser) dropStmt() (*Relation, error) {
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.db.DropTable(name); err != nil {
-		return nil, err
-	}
-	return affectedRel(0), nil
-}
-
-func (p *sqlParser) truncateStmt() (*Relation, error) {
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	t := p.db.Table(name)
-	if t == nil {
-		return nil, fmt.Errorf("no table %q", name)
-	}
-	n := t.Len()
-	t.Truncate()
-	return affectedRel(n), nil
-}
-
-func (p *sqlParser) callStmt() (*Relation, error) {
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	var args []Value
-	if p.acceptSymbol("(") {
-		if !p.acceptSymbol(")") {
-			for {
-				v, err := p.literal()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, v)
-				if !p.acceptSymbol(",") {
-					break
-				}
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-		}
-	}
-	rel, err := p.db.Call(name, args...)
-	if err != nil {
-		return nil, err
-	}
-	if rel == nil {
-		rel = affectedRel(0)
-	}
-	return rel, nil
+	return nil, fmt.Errorf("unsupported statement starting with %q", p.cur().text)
 }
 
 func (p *sqlParser) insertStmt() (*Relation, error) {
@@ -390,346 +182,6 @@ func coerceRow(s *Schema, row Row) (Row, error) {
 		}
 	}
 	return out, nil
-}
-
-func (p *sqlParser) deleteStmt() (*Relation, error) {
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	t := p.db.Table(name)
-	if t == nil {
-		return nil, fmt.Errorf("no table %q", name)
-	}
-	pred := Predicate(True())
-	if p.acceptKeyword("WHERE") {
-		pred, err = p.predicate()
-		if err != nil {
-			return nil, err
-		}
-	}
-	n, err := t.Delete(pred)
-	if err != nil {
-		return nil, err
-	}
-	return affectedRel(n), nil
-}
-
-func (p *sqlParser) updateStmt() (*Relation, error) {
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	t := p.db.Table(name)
-	if t == nil {
-		return nil, fmt.Errorf("no table %q", name)
-	}
-	if err := p.expectKeyword("SET"); err != nil {
-		return nil, err
-	}
-	type setClause struct {
-		ordinal int
-		val     Value
-	}
-	var sets []setClause
-	for {
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		o := t.Schema().Ordinal(col)
-		if o < 0 {
-			return nil, fmt.Errorf("no column %q", col)
-		}
-		if err := p.expectSymbol("="); err != nil {
-			return nil, err
-		}
-		v, err := p.literal()
-		if err != nil {
-			return nil, err
-		}
-		if !v.IsNull() && v.Type() == TypeInt && t.Schema().Columns[o].Type == TypeFloat {
-			v = NewFloat(float64(v.Int()))
-		}
-		sets = append(sets, setClause{o, v})
-		if !p.acceptSymbol(",") {
-			break
-		}
-	}
-	pred := Predicate(True())
-	if p.acceptKeyword("WHERE") {
-		pred, err = p.predicate()
-		if err != nil {
-			return nil, err
-		}
-	}
-	n, err := t.Update(pred, func(r Row) Row {
-		for _, s := range sets {
-			r[s.ordinal] = s.val
-		}
-		return r
-	})
-	if err != nil {
-		return nil, err
-	}
-	return affectedRel(n), nil
-}
-
-// aggFuncs are the aggregate functions of the SELECT list.
-var aggFuncs = map[string]bool{
-	"count": true, "sum": true, "min": true, "max": true, "avg": true,
-}
-
-// selectItem is one SELECT-list entry: a plain column or an aggregate.
-type selectItem struct {
-	col string // column name ("" for COUNT(*))
-	agg string // aggregate function name ("" for plain columns)
-	as  string // output name
-}
-
-func (p *sqlParser) selectStmt() (*Relation, error) {
-	star := false
-	var items []selectItem
-	hasAgg := false
-	if p.acceptSymbol("*") {
-		star = true
-	} else {
-		for {
-			item, err := p.selectItem()
-			if err != nil {
-				return nil, err
-			}
-			if item.agg != "" {
-				hasAgg = true
-			}
-			items = append(items, item)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-	}
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	t := p.db.Table(name)
-	if t == nil {
-		return nil, fmt.Errorf("no table %q", name)
-	}
-	pred := Predicate(True())
-	if p.acceptKeyword("WHERE") {
-		pred, err = p.predicate()
-		if err != nil {
-			return nil, err
-		}
-	}
-	rel, err := t.SelectWhere(pred)
-	if err != nil {
-		return nil, err
-	}
-	// GROUP BY / aggregates.
-	var groupCols []string
-	if p.acceptKeyword("GROUP") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			c, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			groupCols = append(groupCols, c)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		if star || !hasAgg {
-			return nil, fmt.Errorf("GROUP BY requires an aggregate select list")
-		}
-	}
-	switch {
-	case hasAgg:
-		rel, err = applyAggregates(rel, items, groupCols)
-		if err != nil {
-			return nil, err
-		}
-	case !star:
-		cols := make([]string, len(items))
-		for i, it := range items {
-			cols[i] = it.col
-		}
-		rel, err = rel.Project(cols...)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if p.acceptKeyword("ORDER") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		var orderCols []string
-		desc := false
-		for {
-			c, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			orderCols = append(orderCols, c)
-			if p.acceptKeyword("DESC") {
-				desc = true
-			} else {
-				p.acceptKeyword("ASC")
-			}
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		rel, err = rel.Sort(orderCols...)
-		if err != nil {
-			return nil, err
-		}
-		if desc {
-			rows := rel.Rows()
-			rev := make([]Row, len(rows))
-			for i, r := range rows {
-				rev[len(rows)-1-i] = r
-			}
-			rel = &Relation{schema: rel.Schema(), rows: rev}
-		}
-	}
-	if p.acceptKeyword("LIMIT") {
-		if p.cur().kind != tokNumber {
-			return nil, fmt.Errorf("expected LIMIT count at %d", p.cur().pos)
-		}
-		n, err := strconv.Atoi(p.next().text)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad LIMIT count")
-		}
-		if n < rel.Len() {
-			rel = &Relation{schema: rel.Schema(), rows: rel.Rows()[:n]}
-		}
-	}
-	return rel, nil
-}
-
-// selectItem parses one SELECT-list entry: `col`, `FUNC(col)`,
-// `COUNT(*)`, each with an optional `AS alias` (the AS keyword is not
-// reserved; a bare identifier after the item also aliases it).
-func (p *sqlParser) selectItem() (selectItem, error) {
-	name, err := p.ident()
-	if err != nil {
-		return selectItem{}, err
-	}
-	item := selectItem{col: name, as: name}
-	if aggFuncs[strings.ToLower(name)] && p.acceptSymbol("(") {
-		item.agg = strings.ToLower(name)
-		if p.acceptSymbol("*") {
-			if item.agg != "count" {
-				return selectItem{}, fmt.Errorf("%s(*) is not valid", item.agg)
-			}
-			item.col = ""
-		} else {
-			c, err := p.ident()
-			if err != nil {
-				return selectItem{}, err
-			}
-			item.col = c
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return selectItem{}, err
-		}
-		if item.col == "" {
-			item.as = "count"
-		} else {
-			item.as = item.agg + "_" + item.col
-		}
-	}
-	// Optional alias: `AS alias` or a bare identifier.
-	if p.acceptKeyword("AS") {
-		alias, err := p.ident()
-		if err != nil {
-			return selectItem{}, err
-		}
-		item.as = alias
-	} else if p.cur().kind == tokIdent {
-		alias, _ := p.ident()
-		item.as = alias
-	}
-	return item, nil
-}
-
-// applyAggregates evaluates an aggregate select list over the relation.
-func applyAggregates(r *Relation, items []selectItem, groupCols []string) (*Relation, error) {
-	var aggs []AggSpec
-	groupSet := make(map[string]bool, len(groupCols))
-	for _, g := range groupCols {
-		groupSet[strings.ToLower(g)] = true
-	}
-	for _, it := range items {
-		if it.agg == "" {
-			if !groupSet[strings.ToLower(it.col)] {
-				return nil, fmt.Errorf("column %q must appear in GROUP BY", it.col)
-			}
-			continue
-		}
-		aggs = append(aggs, AggSpec{Func: it.agg, Col: it.col, As: it.as})
-	}
-	if len(groupCols) == 0 {
-		// Global aggregate: group by nothing via a constant pseudo-group.
-		ext, err := r.Extend("__all", TypeInt, func(Row) Value { return NewInt(0) })
-		if err != nil {
-			return nil, err
-		}
-		g, err := ext.GroupBy([]string{"__all"}, aggs)
-		if err != nil {
-			return nil, err
-		}
-		if g.Len() == 0 {
-			// An empty input still yields one row of aggregates.
-			row := make(Row, len(aggs))
-			for i, a := range aggs {
-				if a.Func == "count" {
-					row[i] = NewInt(0)
-				} else {
-					row[i] = Null
-				}
-			}
-			cols := make([]Column, len(aggs))
-			for i, a := range aggs {
-				t := TypeInt
-				if a.Func != "count" {
-					t = TypeFloat
-				}
-				cols[i] = Column{Name: a.As, Type: t, Nullable: true}
-			}
-			s, err := NewSchema(cols)
-			if err != nil {
-				return nil, err
-			}
-			return NewRelation(s, []Row{row})
-		}
-		names := make([]string, len(aggs))
-		for i, a := range aggs {
-			names[i] = a.As
-		}
-		return g.Project(names...)
-	}
-	g, err := r.GroupBy(groupCols, aggs)
-	if err != nil {
-		return nil, err
-	}
-	// Keep the declared select-list order.
-	names := make([]string, 0, len(items))
-	for _, it := range items {
-		names = append(names, it.as)
-	}
-	return g.Project(names...)
 }
 
 // ParsePredicate parses a SQL WHERE-clause expression into a Predicate.

@@ -8,192 +8,61 @@ import (
 func newTestDB(t *testing.T) *Database {
 	t.Helper()
 	db := NewDatabase("test")
-	db.MustExec(`CREATE TABLE Orders (
-		Ordkey BIGINT NOT NULL,
-		Custkey BIGINT,
-		Status VARCHAR(16),
-		Total DOUBLE,
-		PRIMARY KEY (Ordkey)
-	)`)
+	db.MustCreateTable("Orders", MustSchema([]Column{
+		Col("Ordkey", TypeInt),
+		NullableCol("Custkey", TypeInt),
+		NullableCol("Status", TypeString),
+		NullableCol("Total", TypeFloat),
+	}, "Ordkey"))
 	return db
+}
+
+// mustExec runs one INSERT and fails the test on error.
+func mustExec(t *testing.T, db *Database, sql string) *Relation {
+	t.Helper()
+	r, err := db.Exec(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestSQLCreateInsertSelect(t *testing.T) {
 	db := newTestDB(t)
-	r := db.MustExec(`INSERT INTO Orders VALUES (1, 10, 'OPEN', 100.5), (2, 20, 'SHIPPED', 50)`)
+	r := mustExec(t, db, `INSERT INTO Orders VALUES (1, 10, 'OPEN', 100.5), (2, 20, 'SHIPPED', 50);`)
 	if r.Get(0, "affected").Int() != 2 {
 		t.Fatalf("insert affected = %v", r.Get(0, "affected"))
 	}
-	got := db.MustExec(`SELECT * FROM Orders WHERE Status = 'OPEN'`)
-	if got.Len() != 1 || got.Get(0, "Ordkey").Int() != 1 {
-		t.Fatalf("select: %v", got)
+	got, err := db.Table("Orders").SelectWhere(ColEq("Status", NewString("OPEN")))
+	if err != nil || got.Len() != 1 || got.Get(0, "Ordkey").Int() != 1 {
+		t.Fatalf("select: %v (%v)", got, err)
 	}
-}
-
-func TestSQLSelectProjection(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec(`INSERT INTO Orders VALUES (1, 10, 'OPEN', 100.5)`)
-	got := db.MustExec(`SELECT Custkey, Total FROM Orders`)
-	if len(got.Schema().Columns) != 2 || got.Get(0, "Total").Float() != 100.5 {
-		t.Fatalf("projection: %v schema %s", got.Row(0), got.Schema())
-	}
-}
-
-func TestSQLWherePrecedence(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec(`INSERT INTO Orders VALUES
-		(1, 10, 'OPEN', 10), (2, 10, 'CLOSED', 20),
-		(3, 20, 'OPEN', 30), (4, 20, 'CLOSED', 40)`)
-	// AND binds tighter than OR: matches (custkey=10 AND status=OPEN) or ordkey=4.
-	got := db.MustExec(`SELECT * FROM Orders WHERE Custkey = 10 AND Status = 'OPEN' OR Ordkey = 4`)
-	if got.Len() != 2 {
-		t.Fatalf("precedence: got %d rows, want 2", got.Len())
-	}
-	// Parentheses override.
-	got = db.MustExec(`SELECT * FROM Orders WHERE Custkey = 10 AND (Status = 'OPEN' OR Ordkey = 4)`)
-	if got.Len() != 1 {
-		t.Fatalf("parens: got %d rows, want 1", got.Len())
-	}
-}
-
-func TestSQLOrderByAndLimit(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec(`INSERT INTO Orders VALUES (1,1,'A',30), (2,1,'B',10), (3,1,'C',20)`)
-	got := db.MustExec(`SELECT * FROM Orders ORDER BY Total`)
-	if got.Get(0, "Total").Float() != 10 || got.Get(2, "Total").Float() != 30 {
-		t.Fatalf("order by: %v", got)
-	}
-	got = db.MustExec(`SELECT * FROM Orders ORDER BY Total DESC LIMIT 1`)
-	if got.Len() != 1 || got.Get(0, "Total").Float() != 30 {
-		t.Fatalf("desc limit: %v", got)
-	}
-}
-
-func TestSQLUpdate(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec(`INSERT INTO Orders VALUES (1, 10, 'OPEN', 100)`)
-	r := db.MustExec(`UPDATE Orders SET Status = 'CLOSED', Total = 0 WHERE Ordkey = 1`)
-	if r.Get(0, "affected").Int() != 1 {
-		t.Fatalf("update affected: %v", r)
-	}
-	got := db.MustExec(`SELECT Status, Total FROM Orders`)
-	if got.Get(0, "Status").Str() != "CLOSED" || got.Get(0, "Total").Float() != 0 {
-		t.Fatalf("update result: %v", got.Row(0))
-	}
-}
-
-func TestSQLDelete(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec(`INSERT INTO Orders VALUES (1,1,'A',1),(2,2,'B',2),(3,3,'C',3)`)
-	r := db.MustExec(`DELETE FROM Orders WHERE Ordkey >= 2`)
-	if r.Get(0, "affected").Int() != 2 {
-		t.Fatalf("delete affected: %v", r)
-	}
-	if db.Table("Orders").Len() != 1 {
-		t.Fatalf("remaining: %d", db.Table("Orders").Len())
-	}
-}
-
-func TestSQLTruncateAndDrop(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec(`INSERT INTO Orders VALUES (1,1,'A',1)`)
-	db.MustExec(`TRUNCATE TABLE Orders`)
-	if db.Table("Orders").Len() != 0 {
-		t.Fatal("truncate failed")
-	}
-	db.MustExec(`DROP TABLE Orders`)
-	if db.Table("Orders") != nil {
-		t.Fatal("drop failed")
+	// The int literal 50 lands in the DOUBLE column as a float.
+	if v := db.Table("Orders").Lookup(NewInt(2))[3]; v.Type() != TypeFloat || v.Float() != 50 {
+		t.Fatalf("int->DOUBLE coercion: %v", v)
 	}
 }
 
 func TestSQLPrimaryKeyViolation(t *testing.T) {
 	db := newTestDB(t)
-	db.MustExec(`INSERT INTO Orders VALUES (1,1,'A',1)`)
+	mustExec(t, db, `INSERT INTO Orders VALUES (1,1,'A',1)`)
 	if _, err := db.Exec(`INSERT INTO Orders VALUES (1,2,'B',2)`); err == nil {
 		t.Fatal("expected duplicate key error")
-	}
-}
-
-func TestSQLNullHandling(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec(`INSERT INTO Orders VALUES (1, NULL, 'A', 1), (2, 5, 'B', 2)`)
-	got := db.MustExec(`SELECT * FROM Orders WHERE Custkey IS NULL`)
-	if got.Len() != 1 || got.Get(0, "Ordkey").Int() != 1 {
-		t.Fatalf("IS NULL: %v", got)
-	}
-	got = db.MustExec(`SELECT * FROM Orders WHERE Custkey IS NOT NULL`)
-	if got.Len() != 1 || got.Get(0, "Ordkey").Int() != 2 {
-		t.Fatalf("IS NOT NULL: %v", got)
-	}
-	// NULL never compares equal.
-	got = db.MustExec(`SELECT * FROM Orders WHERE Custkey = 5`)
-	if got.Len() != 1 {
-		t.Fatalf("= with NULL present: %v", got)
-	}
-}
-
-func TestSQLLike(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec(`INSERT INTO Orders VALUES (1,1,'OPEN',1),(2,2,'REOPENED',2),(3,3,'CLOSED',3)`)
-	got := db.MustExec(`SELECT * FROM Orders WHERE Status LIKE '%OPEN%'`)
-	if got.Len() != 2 {
-		t.Fatalf("LIKE: got %d, want 2", got.Len())
-	}
-}
-
-func TestSQLStringEscaping(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec(`INSERT INTO Orders VALUES (1, 1, 'O''Brien', 1)`)
-	got := db.MustExec(`SELECT * FROM Orders WHERE Status = 'O''Brien'`)
-	if got.Len() != 1 {
-		t.Fatalf("escaped string: %v", got)
-	}
-}
-
-func TestSQLNegativeNumbers(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec(`INSERT INTO Orders VALUES (1, -5, 'A', -1.5)`)
-	got := db.MustExec(`SELECT * FROM Orders WHERE Custkey = -5`)
-	if got.Len() != 1 || got.Get(0, "Total").Float() != -1.5 {
-		t.Fatalf("negative numbers: %v", got)
-	}
-}
-
-func TestSQLColumnColumnComparison(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec(`INSERT INTO Orders VALUES (1, 1, 'A', 1), (2, 99, 'B', 2)`)
-	got := db.MustExec(`SELECT * FROM Orders WHERE Ordkey = Custkey`)
-	if got.Len() != 1 || got.Get(0, "Ordkey").Int() != 1 {
-		t.Fatalf("col=col: %v", got)
-	}
-}
-
-func TestSQLCallProcedure(t *testing.T) {
-	db := newTestDB(t)
-	db.RegisterProcedure("sp_echo", func(_ *Database, args []Value) (*Relation, error) {
-		s := MustSchema([]Column{Col("arg", TypeInt)})
-		return NewRelation(s, []Row{{args[0]}})
-	})
-	got := db.MustExec(`CALL sp_echo(42)`)
-	if got.Get(0, "arg").Int() != 42 {
-		t.Fatalf("call: %v", got)
 	}
 }
 
 func TestSQLErrors(t *testing.T) {
 	db := newTestDB(t)
 	bad := []string{
-		`SELECT * FROM Missing`,
-		`SELECT Nope FROM Orders`,
+		`INSERT INTO Missing VALUES (1)`,
 		`INSERT INTO Orders VALUES (1)`,
-		`BOGUS STATEMENT`,
-		`SELECT * FROM Orders WHERE`,
 		`INSERT INTO Orders VALUES (1, 2, 'x', 'not-a-float')`,
-		`CREATE TABLE Orders (X BIGINT)`, // already exists
-		`SELECT * FROM Orders TRAILING GARBAGE`,
-		`UPDATE Orders SET Nope = 1`,
-		`CALL sp_missing()`,
+		`INSERT INTO Orders VALUES (1, 2, 'x', 1.5) TRAILING GARBAGE`,
+		`INSERT INTO Orders VALUES (1, 2, 'x', 1.5`,
+		`INSERT Orders VALUES (1, 2, 'x', 1.5)`,
+		`INSERT INTO Orders (1, 2, 'x', 1.5)`,
+		`BOGUS STATEMENT`,
+		``,
 	}
 	for _, q := range bad {
 		if _, err := db.Exec(q); err == nil {
@@ -202,62 +71,47 @@ func TestSQLErrors(t *testing.T) {
 	}
 }
 
+// TestSQLRemovedStatementsUnsupported pins the INSERT-only surface: every
+// other statement kind is rejected before it touches the database.
+func TestSQLRemovedStatementsUnsupported(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, `INSERT INTO Orders VALUES (1, 10, 'OPEN', 100)`)
+	db.RegisterProcedure("sp_echo", func(*Database, []Value) (*Relation, error) { return nil, nil })
+	for _, q := range []string{
+		`SELECT * FROM Orders`,
+		`SELECT count(*) FROM Orders GROUP BY Custkey ORDER BY Custkey LIMIT 1`,
+		`UPDATE Orders SET Status = 'CLOSED'`,
+		`DELETE FROM Orders`,
+		`CREATE TABLE T (A BIGINT)`,
+		`DROP TABLE Orders`,
+		`TRUNCATE TABLE Orders`,
+		`CALL sp_echo(42)`,
+	} {
+		_, err := db.Exec(q)
+		if err == nil || !strings.Contains(err.Error(), "unsupported statement") {
+			t.Errorf("%q: err = %v, want unsupported statement", q, err)
+		}
+	}
+	if db.Table("Orders") == nil || db.Table("Orders").Len() != 1 || db.Table("T") != nil {
+		t.Fatalf("a rejected statement changed the database: %v", db.TableNames())
+	}
+}
+
 func TestSQLUnterminatedString(t *testing.T) {
 	db := newTestDB(t)
-	if _, err := db.Exec(`SELECT * FROM Orders WHERE Status = 'oops`); err == nil ||
+	if _, err := db.Exec(`INSERT INTO Orders VALUES (1, 1, 'oops, 1)`); err == nil ||
 		!strings.Contains(err.Error(), "unterminated") {
 		t.Fatalf("unterminated string: %v", err)
 	}
 }
 
-func TestSQLInPredicate(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec(`INSERT INTO Orders VALUES (1,1,'A',1),(2,2,'B',2),(3,3,'C',3),(4,4,'D',4)`)
-	got := db.MustExec(`SELECT * FROM Orders WHERE Ordkey IN (1, 3)`)
-	if got.Len() != 2 {
-		t.Fatalf("IN: got %d rows", got.Len())
-	}
-	got = db.MustExec(`SELECT * FROM Orders WHERE Status IN ('B', 'D', 'Z')`)
-	if got.Len() != 2 {
-		t.Fatalf("string IN: got %d rows", got.Len())
-	}
-	// NOT IN via NOT.
-	got = db.MustExec(`SELECT * FROM Orders WHERE NOT Ordkey IN (1, 2, 3)`)
-	if got.Len() != 1 || got.Get(0, "Ordkey").Int() != 4 {
-		t.Fatalf("NOT IN: %v", got)
-	}
-	if _, err := db.Exec(`SELECT * FROM Orders WHERE Ordkey IN ()`); err == nil {
-		t.Error("empty IN list accepted")
-	}
-	if _, err := db.Exec(`SELECT * FROM Orders WHERE Ordkey IN (1, 2`); err == nil {
-		t.Error("unclosed IN list accepted")
-	}
-}
-
-func TestSQLCaseInsensitiveKeywordsAndColumns(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec(`insert into Orders values (1, 1, 'A', 1)`)
-	got := db.MustExec(`select ORDKEY from orders where CUSTKEY = 1`)
-	if got.Len() != 1 {
-		t.Fatalf("case insensitivity: %v", got)
-	}
-}
-
-func TestSQLVarcharLengthIgnored(t *testing.T) {
-	db := NewDatabase("t2")
-	db.MustExec(`CREATE TABLE T (A VARCHAR(255) NOT NULL, PRIMARY KEY (A))`)
-	db.MustExec(`INSERT INTO T VALUES ('x')`)
-	if db.Table("T").Len() != 1 {
-		t.Fatal("varchar length handling")
-	}
-}
-
 func TestSQLTimestampCoercion(t *testing.T) {
 	db := NewDatabase("t3")
-	db.MustExec(`CREATE TABLE E (ID BIGINT NOT NULL, At TIMESTAMP, PRIMARY KEY (ID))`)
-	db.MustExec(`INSERT INTO E VALUES (1, '2008-04-07T12:00:00Z')`)
-	got := db.MustExec(`SELECT At FROM E`)
-	if got.Get(0, "At").Time().Year() != 2008 {
-		t.Fatalf("timestamp coercion: %v", got.Row(0))
+	db.MustCreateTable("E", MustSchema([]Column{
+		Col("ID", TypeInt), NullableCol("At", TypeTime),
+	}, "ID"))
+	mustExec(t, db, `INSERT INTO E VALUES (1, '2008-04-07T12:00:00Z')`)
+	if at := db.Table("E").Lookup(NewInt(1))[1]; at.Type() != TypeTime || at.Time().Year() != 2008 {
+		t.Fatalf("timestamp coercion: %v", at)
 	}
 }

@@ -3,10 +3,11 @@
 //
 // The engine provides typed columns, tables with primary-key and secondary
 // hash indexes, a relational algebra (scan, selection, projection, rename,
-// join, union distinct, sort, grouping), insert triggers, stored procedures
-// and a multi-instance server with optional latency injection so that
-// communication costs remain a distinct cost category, as required by the
-// DIPBench cost model.
+// join, union distinct, sort, grouping), insert triggers, stored procedures,
+// SQL INSERT for the Fig. 9 a) queue tables, WHERE-clause predicates parsed
+// from the remote database wire, and a multi-instance server with optional
+// latency injection so that communication costs remain a distinct cost
+// category, as required by the DIPBench cost model.
 package relational
 
 import (

@@ -8,9 +8,9 @@ import (
 // Vectorized kernels. Each XxxVec method is the batch-layout twin of the
 // corresponding row kernel: morsels are converted to typed column vectors
 // (filter) or processed through typed hash tables and accumulators (join,
-// group-by), and the result is stitched in morsel order, so output rows,
-// row order and float summation order are bit-identical to the sequential
-// row kernel at any parallelism. Inputs the typed fast paths cannot
+// fused extend+group-by), and the result is stitched in morsel order, so
+// output rows, row order and float summation order are bit-identical to
+// the sequential row kernel at any parallelism. Inputs the typed fast paths cannot
 // represent — float or mistyped keys, uncompilable predicates,
 // sub-threshold batches — fall back to the sequential row kernels, and
 // every method reports which layout actually ran.
@@ -107,37 +107,6 @@ func (r *Relation) ProjectVec(par int, names ...string) (*Relation, Layout, erro
 		}
 	})
 	return &Relation{schema: ps, rows: rows}, LayoutColumnar, nil
-}
-
-// ExtendVec is ExtendMany in batch layout: one backing value arena per
-// call.
-func (r *Relation) ExtendVec(par int, cols []Column, fn ExtendFn) (*Relation, Layout, error) {
-	n := len(r.rows)
-	if n < vecMinRows {
-		out, err := r.ExtendMany(cols, fn)
-		return out, LayoutRow, err
-	}
-	all := make([]Column, len(r.schema.Columns)+len(cols))
-	copy(all, r.schema.Columns)
-	copy(all[len(r.schema.Columns):], cols)
-	es, err := NewSchema(all, r.schema.KeyNames()...)
-	if err != nil {
-		return nil, LayoutRow, err
-	}
-	k := len(r.schema.Columns)
-	w := len(all)
-	backing := make([]Value, n*w)
-	rows := make([]Row, n)
-	r.runMorsels(par, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := r.rows[i]
-			nr := backing[i*w : i*w+w : i*w+w]
-			copy(nr, row)
-			fn(row, nr[k:])
-			rows[i] = nr
-		}
-	})
-	return &Relation{schema: es, rows: rows}, LayoutColumnar, nil
 }
 
 // vecKeyType reports whether a column type can key the typed hash tables.
@@ -516,7 +485,7 @@ func vecEmitAggs(dst []Value, plans []vecAggPlan, states []vecAggState, rowCount
 
 // vecLaneCheck is one phase-1 type obligation: a touched column whose
 // cells must carry the declared runtime type (and, for float SUM/AVG
-// inputs, stay finite — see GroupAggVec).
+// inputs, stay finite — see GroupAggExtVec).
 type vecLaneCheck struct {
 	ord    int
 	typ    Type
@@ -621,13 +590,12 @@ func vecKeyRowsEqual(a, b Row, ords []int) bool {
 	return true
 }
 
-// vecLocalGroup is one group discovered within a morsel: the global index
-// of its first row (its key), the order-exact lanes' partial states, and
-// — only when an order-sensitive lane needs the phase-2 replay — its row
-// indices, ascending. wide is the retained first extended row in the
-// fused extend+group kernel, where key cells live past the source schema.
+// vecLocalGroup is one group discovered within a morsel: its first
+// extended row (its key cells, which may live past the source schema),
+// the order-exact lanes' partial states, and — only when an
+// order-sensitive lane needs the phase-2 replay — its row indices,
+// ascending.
 type vecLocalGroup struct {
-	first  int32
 	wide   Row
 	hash   uint64
 	rows   int64
@@ -640,196 +608,10 @@ type vecLocalGroup struct {
 // kept in morsel order for global-row-order replay — only when an
 // order-sensitive lane exists.
 type vecMergedGroup struct {
-	first  int32
 	wide   Row
 	rows   int64
 	states []vecAggState
 	idx    [][]int32
-}
-
-// GroupAggVec is GroupBy with typed hashing and fused typed
-// folds: phase 1 assigns rows to groups through a cheap multiply-mix hash
-// and payload-level key comparisons; phase 2 folds each group's rows — in
-// global row order, so float sums reproduce the sequential operation
-// sequence bit for bit — through flat per-aggregate accumulators instead
-// of the per-row Value switch of aggAcc. Group keys must be int-backed or
-// string (never float); unsupported shapes and mistyped cells fall back
-// to the row kernel. So does any non-finite value in a float SUM/AVG
-// lane: when both addends of a float addition are NaN, the surviving NaN
-// payload is chosen by instruction operand order — an IEEE-legal
-// code-shape detail a separately compiled fold cannot promise to
-// reproduce, so those sums stay on the row kernel's own code.
-func (r *Relation) GroupAggVec(par int, groupCols []string, aggs []AggSpec) (*Relation, Layout, error) {
-	n := len(r.rows)
-	spec, err := r.groupSpec(groupCols, aggs)
-	if err != nil {
-		return nil, LayoutRow, err
-	}
-	rowFallback := func() (*Relation, Layout, error) {
-		out, err := r.GroupBy(groupCols, aggs)
-		return out, LayoutRow, err
-	}
-	if n < vecMinRows || n > math.MaxInt32 {
-		return rowFallback()
-	}
-	for _, o := range spec.gOrd {
-		if !vecKeyType(r.schema.Columns[o].Type) {
-			return rowFallback()
-		}
-	}
-	plans, ok := compileVecAggs(spec)
-	if !ok {
-		return rowFallback()
-	}
-
-	// The typed folds read raw payloads, trusting declared column types.
-	// Phase 1 verifies that trust for every touched lane; a mistyped cell
-	// surrenders the whole call to the row kernel (which then reproduces
-	// whatever that kernel does, panics included). Float SUM/AVG lanes
-	// additionally require finite values (see the method comment).
-	checks := vecLaneChecks(r.schema, spec, plans)
-
-	// Sequential execution (one worker, or everything in one morsel)
-	// takes a fused single pass: states fold in scan order as groups are
-	// discovered, so there are no per-group row-index lists and no second
-	// sweep over the input. The float-sum order is the scan order by
-	// construction — exactly the row kernel's.
-	nm := numMorsels(n)
-	if par <= 1 || nm == 1 {
-		out, ok := groupAggVecSeq(r.rows, spec, plans, checks)
-		if !ok {
-			return rowFallback()
-		}
-		return out, LayoutColumnar, nil
-	}
-
-	// Phase 1: per-morsel partition into local groups, maps pre-sized
-	// from the morsel cardinality bound. Order-exact lanes fold into the
-	// local states right here; row-index lists are recorded only when an
-	// order-sensitive lane needs the ordered phase-2 replay.
-	exact, replay := vecExactLanes(plans)
-	locals := make([][]*vecLocalGroup, nm)
-	bad := make([]bool, nm)
-	r.runMorsels(par, n, func(c, lo, hi int) {
-		groups := make(map[uint64][]*vecLocalGroup, hi-lo)
-		var order []*vecLocalGroup
-		for i := lo; i < hi; i++ {
-			row := r.rows[i]
-			if !vecCheckRow(row, checks) {
-				bad[c] = true
-				return
-			}
-			h := vecHashKey(row, spec.gOrd)
-			var g *vecLocalGroup
-			for _, cand := range groups[h] {
-				if vecKeyRowsEqual(row, r.rows[cand.first], spec.gOrd) {
-					g = cand
-					break
-				}
-			}
-			if g == nil {
-				g = &vecLocalGroup{first: int32(i), hash: h, states: make([]vecAggState, len(plans))}
-				groups[h] = append(groups[h], g)
-				order = append(order, g)
-			}
-			g.rows++
-			for j := range plans {
-				p := &plans[j]
-				if p.ord < 0 || !exact[j] {
-					continue
-				}
-				v := row[p.ord]
-				if v.typ == TypeNull {
-					continue
-				}
-				g.states[j].fold(p.kind, v)
-			}
-			if replay {
-				g.idx = append(g.idx, int32(i))
-			}
-		}
-		locals[c] = order
-	})
-	for _, b := range bad {
-		if b {
-			return rowFallback()
-		}
-	}
-
-	// Merge local groups in morsel order: a group's output position is
-	// decided by its globally first row — the sequential first-seen order
-	// — and the exact lanes' partial states merge directly.
-	totalLocals := 0
-	for _, l := range locals {
-		totalLocals += len(l)
-	}
-	merged := make(map[uint64][]*vecMergedGroup, totalLocals)
-	var order []*vecMergedGroup
-	for _, local := range locals {
-		for _, lg := range local {
-			var g *vecMergedGroup
-			for _, cand := range merged[lg.hash] {
-				if vecKeyRowsEqual(r.rows[lg.first], r.rows[cand.first], spec.gOrd) {
-					g = cand
-					break
-				}
-			}
-			if g == nil {
-				g = &vecMergedGroup{first: lg.first, states: make([]vecAggState, len(plans))}
-				merged[lg.hash] = append(merged[lg.hash], g)
-				order = append(order, g)
-			}
-			g.rows += lg.rows
-			for j := range plans {
-				if exact[j] {
-					g.states[j].merge(plans[j].kind, &lg.states[j])
-				}
-			}
-			if replay {
-				g.idx = append(g.idx, lg.idx)
-			}
-		}
-	}
-
-	// Phase 2: emit per group, groups in parallel, results carved from one
-	// output arena. Only the order-sensitive lanes sweep their group's rows
-	// again — in global row order, so float folds reproduce the sequential
-	// operation sequence bit for bit; all-exact aggregations skip the sweep
-	// entirely.
-	gw := len(spec.gOrd)
-	w := len(spec.out.Columns)
-	backing := make([]Value, len(order)*w)
-	out := make([]Row, len(order))
-	r.runTasks(par, len(order), func(gi int) {
-		g := order[gi]
-		states := g.states
-		if replay {
-			for _, idx := range g.idx {
-				for _, ri := range idx {
-					row := r.rows[ri]
-					for j := range plans {
-						p := &plans[j]
-						if p.ord < 0 || exact[j] {
-							continue
-						}
-						v := row[p.ord]
-						if v.typ == TypeNull {
-							continue
-						}
-						states[j].fold(p.kind, v)
-					}
-				}
-			}
-		}
-		dst := backing[gi*w : gi*w+w : gi*w+w]
-		first := r.rows[g.first]
-		for j, o := range spec.gOrd {
-			dst[j] = first[o]
-		}
-		vecEmitAggs(dst[gw:], plans, states, g.rows)
-		out[gi] = dst
-	})
-	return &Relation{schema: spec.out, rows: out}, LayoutColumnar, nil
 }
 
 // GroupAggExtVec fuses ExtendMany with a grouped aggregation: each row
@@ -839,6 +621,17 @@ func (r *Relation) GroupAggVec(par int, groupCols []string, aggs []AggSpec) (*Re
 // to ExtendMany followed by GroupBy: group keys are the first-seen
 // row's cells (computed cells included), groups emit in first-seen
 // order, and float sums fold in scan order.
+//
+// Groups are found through a cheap multiply-mix hash and payload-level
+// key comparisons, and each aggregate folds into a flat typed
+// accumulator instead of the per-row Value switch of aggAcc. Group keys
+// must be int-backed or string (never float); unsupported shapes and
+// mistyped cells fall back to the row kernels. So does any non-finite
+// value in a float SUM/AVG lane: when both addends of a float addition
+// are NaN, the surviving NaN payload is chosen by instruction operand
+// order — an IEEE-legal code-shape detail a separately compiled fold
+// cannot promise to reproduce, so those sums stay on the row kernel's
+// own code.
 //
 // The fusion holds under parallelism too: the ExtendFn purity contract
 // licenses re-running fn on already-visited rows, so the parallel path
@@ -879,6 +672,10 @@ func (r *Relation) GroupAggExtVec(par int, cols []Column, fn ExtendFn, groupCols
 	if !ok {
 		return rowFallback()
 	}
+	// The typed folds read raw payloads, trusting declared column types;
+	// the scans verify that trust for every touched lane, and a mistyped
+	// or (in a float SUM/AVG lane) non-finite cell surrenders the whole
+	// call to the row kernels.
 	checks := vecLaneChecks(es, spec, plans)
 	k := len(r.schema.Columns)
 	w := len(all)
@@ -889,10 +686,12 @@ func (r *Relation) GroupAggExtVec(par int, cols []Column, fn ExtendFn, groupCols
 		}
 		return out, LayoutColumnar, nil
 	}
-	// Extend each row into a reused scratch tail; the scan then runs
-	// groupAggVecSeq's fold over the virtual wide row. Only a group's
-	// first wide row is retained (one copy per group, for key emission
-	// and probe comparisons).
+	// Sequential: extend each row into a reused scratch tail and fold it
+	// into its group's typed states as it is scanned, so the float-sum
+	// order is the scan order by construction. Only a group's first wide
+	// row is retained (one copy per group, for key emission and probe
+	// comparisons); group bookkeeping comes from chunked arenas so tiny
+	// groups do not cost two heap objects each.
 	scratch := make(Row, w)
 	ext := func(row Row) Row {
 		copy(scratch, row)
@@ -999,7 +798,6 @@ func (r *Relation) groupAggExtVecParallel(par int, spec *groupSpec, plans []vecA
 			}
 			if g == nil {
 				g = &vecLocalGroup{
-					first:  int32(i),
 					wide:   append(Row(nil), scratch...),
 					hash:   h,
 					states: make([]vecAggState, len(plans)),
@@ -1051,7 +849,7 @@ func (r *Relation) groupAggExtVecParallel(par int, spec *groupSpec, plans []vecA
 				}
 			}
 			if g == nil {
-				g = &vecMergedGroup{first: lg.first, wide: lg.wide, states: make([]vecAggState, len(plans))}
+				g = &vecMergedGroup{wide: lg.wide, states: make([]vecAggState, len(plans))}
 				mergedTab[lg.hash] = append(mergedTab[lg.hash], g)
 				order = append(order, g)
 			}
@@ -1111,73 +909,4 @@ type vecSeqGroup struct {
 	first  Row
 	states []vecAggState
 	rows   int64
-}
-
-// groupAggVecSeq is the single-pass grouped fold used whenever execution
-// is sequential anyway: every row folds into its group's typed states as
-// it is scanned. ok=false reports a failed lane check (the caller falls
-// back to the row kernel).
-func groupAggVecSeq(rows []Row, spec *groupSpec, plans []vecAggPlan, checks []vecLaneCheck) (*Relation, bool) {
-	groups := make(map[uint64][]*vecSeqGroup, len(rows)/4+16)
-	var order []*vecSeqGroup
-	// Group bookkeeping comes from chunked arenas so tiny groups do not
-	// cost two heap objects each.
-	var (
-		garena []vecSeqGroup
-		sarena []vecAggState
-		pw     = len(plans)
-	)
-	for _, row := range rows {
-		if !vecCheckRow(row, checks) {
-			return nil, false
-		}
-		h := vecHashKey(row, spec.gOrd)
-		var g *vecSeqGroup
-		for _, cand := range groups[h] {
-			if vecKeyRowsEqual(row, cand.first, spec.gOrd) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			if len(garena) == 0 {
-				garena = make([]vecSeqGroup, 256)
-			}
-			g, garena = &garena[0], garena[1:]
-			if len(sarena) < pw {
-				sarena = make([]vecAggState, 256*pw)
-			}
-			g.first = row
-			if pw > 0 {
-				g.states, sarena = sarena[:pw:pw], sarena[pw:]
-			}
-			groups[h] = append(groups[h], g)
-			order = append(order, g)
-		}
-		g.rows++
-		for j := range plans {
-			p := &plans[j]
-			if p.ord < 0 {
-				continue
-			}
-			v := row[p.ord]
-			if v.typ == TypeNull {
-				continue
-			}
-			g.states[j].fold(p.kind, v)
-		}
-	}
-	gw := len(spec.gOrd)
-	w := len(spec.out.Columns)
-	backing := make([]Value, len(order)*w)
-	out := make([]Row, len(order))
-	for gi, g := range order {
-		dst := backing[gi*w : gi*w+w : gi*w+w]
-		for j, o := range spec.gOrd {
-			dst[j] = g.first[o]
-		}
-		vecEmitAggs(dst[gw:], plans, g.states, g.rows)
-		out[gi] = dst
-	}
-	return &Relation{schema: spec.out, rows: out}, true
 }

@@ -169,14 +169,6 @@ func TestProjectExtendVecMatchRow(t *testing.T) {
 	withWorkers(t, 8, func() {
 		for _, n := range vectorSizes {
 			r := randVecRelation(rand.New(rand.NewSource(int64(n)+29)), n, 0.3)
-			mcols := []Column{
-				{Name: "Y", Type: TypeInt, Nullable: true},
-				{Name: "Z", Type: TypeFloat, Nullable: true},
-			}
-			mfn := func(row Row, out []Value) {
-				out[0] = NewInt(row[0].Int() % 9)
-				out[1] = NewFloat(float64(row[0].Int()) * 0.25)
-			}
 			for _, par := range vectorDegrees {
 				tag := fmt.Sprintf("n=%d par=%d", n, par)
 				seq, err1 := r.Project("S", "K", "F")
@@ -188,16 +180,6 @@ func TestProjectExtendVecMatchRow(t *testing.T) {
 					t.Fatalf("%s ProjectVec layout = %v", tag, layout)
 				}
 				sameRelation(t, tag+" ProjectVec", seq, got)
-
-				seq, err1 = r.ExtendMany(mcols, mfn)
-				got, layout, err2 = r.ExtendVec(par, mcols, mfn)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s Extend: %v / %v", tag, err1, err2)
-				}
-				if n >= vecMinRows && layout != LayoutColumnar {
-					t.Fatalf("%s ExtendVec layout = %v", tag, layout)
-				}
-				sameRelation(t, tag+" ExtendVec", seq, got)
 			}
 		}
 		// Unknown projection column: same error behavior as the row kernel.
@@ -286,6 +268,13 @@ func TestHashJoinVecFloatKeyFallsBack(t *testing.T) {
 	sameRelation(t, "HashJoinVec(float keys)", seq, got)
 }
 
+// groupAggVec runs the vectorized grouped fold production uses,
+// GroupAggExtVec, with an empty extension, so it is a plain grouped
+// aggregation over r.
+func groupAggVec(r *Relation, par int, groupCols []string, aggs []AggSpec) (*Relation, Layout, error) {
+	return r.GroupAggExtVec(par, nil, func(Row, []Value) {}, groupCols, aggs)
+}
+
 func TestGroupAggVecMatchesGroupBy(t *testing.T) {
 	withWorkers(t, 8, func() {
 		aggs := []AggSpec{
@@ -314,7 +303,7 @@ func TestGroupAggVecMatchesGroupBy(t *testing.T) {
 					// No layout assertion here: the adversarial floats in F
 					// legitimately push SUM/AVG lanes back to the row kernel
 					// (NaN-payload determinism); identity must hold either way.
-					got, _, err := r.GroupAggVec(par, by, aggs)
+					got, _, err := groupAggVec(r, par, by, aggs)
 					if err != nil {
 						t.Fatalf("n=%d par=%d by=%v: GroupAggVec: %v", n, par, by, err)
 					}
@@ -324,7 +313,7 @@ func TestGroupAggVecMatchesGroupBy(t *testing.T) {
 		}
 		// With finite floats the vectorized path must actually engage.
 		r := randMixed(rand.New(rand.NewSource(5)), vecMinRows*2, 0.3)
-		_, layout, err := r.GroupAggVec(4, []string{"G"}, aggs[:9])
+		_, layout, err := groupAggVec(r, 4, []string{"G"}, aggs[:9])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +327,7 @@ func TestGroupAggVecMatchesGroupBy(t *testing.T) {
 // single ±Inf or NaN in a float SUM lane must push the whole call to the
 // row kernel, and the results must still match bit for bit.
 func TestGroupAggVecNonFiniteSumFallsBack(t *testing.T) {
-	n := vecMinRows * 2
+	n := 2 * morselSize
 	s := MustSchema([]Column{Col("G", TypeInt), Col("F", TypeFloat)})
 	rows := make([]Row, n)
 	for i := range rows {
@@ -349,15 +338,20 @@ func TestGroupAggVecNonFiniteSumFallsBack(t *testing.T) {
 	rows[n-5] = Row{NewInt(1), NewFloat(math.NaN())}
 	r := MustRelation(s, rows)
 	aggs := []AggSpec{{Func: "sum", Col: "F", As: "S"}}
-	seq, err1 := r.GroupBy([]string{"G"}, aggs)
-	got, layout, err2 := r.GroupAggVec(4, []string{"G"}, aggs)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("group: %v / %v", err1, err2)
+	seq, err := r.GroupBy([]string{"G"}, aggs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if layout != LayoutRow {
-		t.Fatalf("non-finite sum layout = %v, want ROW", layout)
+	for _, par := range vectorDegrees {
+		got, layout, err := groupAggVec(r, par, []string{"G"}, aggs)
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		if layout != LayoutRow {
+			t.Fatalf("par=%d: non-finite sum layout = %v, want ROW", par, layout)
+		}
+		sameRelation(t, fmt.Sprintf("par=%d GroupAggVec(non-finite sum)", par), seq, got)
 	}
-	sameRelation(t, "GroupAggVec(non-finite sum)", seq, got)
 }
 
 // TestGroupAggVecFloatSumBitIdentical drives the fused float accumulator
@@ -379,7 +373,7 @@ func TestGroupAggVecFloatSumBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, par := range []int{1, 2, 7} {
-			got, layout, err := r.GroupAggVec(par, []string{"G"}, aggs)
+			got, layout, err := groupAggVec(r, par, []string{"G"}, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -404,15 +398,20 @@ func TestGroupAggVecFloatKeyFallsBack(t *testing.T) {
 	}
 	r := MustRelation(s, rows)
 	aggs := []AggSpec{{Func: "sum", Col: "V", As: "S"}}
-	seq, err1 := r.GroupBy([]string{"F"}, aggs)
-	got, layout, err2 := r.GroupAggVec(4, []string{"F"}, aggs)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("group: %v / %v", err1, err2)
+	seq, err := r.GroupBy([]string{"F"}, aggs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if layout != LayoutRow {
-		t.Fatalf("float-keyed grouping layout = %v, want ROW", layout)
+	for _, par := range vectorDegrees {
+		got, layout, err := groupAggVec(r, par, []string{"F"}, aggs)
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		if layout != LayoutRow {
+			t.Fatalf("par=%d: float-keyed grouping layout = %v, want ROW", par, layout)
+		}
+		sameRelation(t, fmt.Sprintf("par=%d GroupAggVec(float keys)", par), seq, got)
 	}
-	sameRelation(t, "GroupAggVec(float keys)", seq, got)
 }
 
 // TestVecRogueTypesFallBack: operator-built relations skip CheckRow, so a
@@ -420,7 +419,7 @@ func TestGroupAggVecFloatKeyFallsBack(t *testing.T) {
 // typed kernels must detect that during their scans and surrender to the
 // row kernels wholesale.
 func TestVecRogueTypesFallBack(t *testing.T) {
-	n := vecMinRows * 2
+	n := 2 * morselSize
 	s := MustSchema([]Column{Col("K", TypeInt), Col("V", TypeInt)})
 	rows := make([]Row, n)
 	for i := range rows {
@@ -431,15 +430,21 @@ func TestVecRogueTypesFallBack(t *testing.T) {
 	rows[n-3] = Row{NewString("rogue"), NewInt(1)}
 	r := &Relation{schema: s, rows: rows}
 
-	seq, err1 := r.GroupBy([]string{"K"}, []AggSpec{{Func: "count", As: "N"}})
-	got, layout, err2 := r.GroupAggVec(4, []string{"K"}, []AggSpec{{Func: "count", As: "N"}})
-	if err1 != nil || err2 != nil {
-		t.Fatalf("group: %v / %v", err1, err2)
+	aggs := []AggSpec{{Func: "count", As: "N"}}
+	seq, err := r.GroupBy([]string{"K"}, aggs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if layout != LayoutRow {
-		t.Fatalf("rogue-typed grouping layout = %v, want ROW", layout)
+	for _, par := range vectorDegrees {
+		got, layout, err := groupAggVec(r, par, []string{"K"}, aggs)
+		if err != nil {
+			t.Fatalf("par=%d group: %v", par, err)
+		}
+		if layout != LayoutRow {
+			t.Fatalf("par=%d: rogue-typed grouping layout = %v, want ROW", par, layout)
+		}
+		sameRelation(t, fmt.Sprintf("par=%d GroupAggVec(rogue)", par), seq, got)
 	}
-	sameRelation(t, "GroupAggVec(rogue)", seq, got)
 
 	right := MustRelation(MustSchema([]Column{Col("RK", TypeInt), Col("P", TypeInt)}),
 		func() []Row {
@@ -449,8 +454,8 @@ func TestVecRogueTypesFallBack(t *testing.T) {
 			}
 			return rr
 		}())
-	seq, err1 = r.Join(right, "K", "RK", "r_")
-	got, layout, err2 = r.HashJoinVec(4, right, "K", "RK", "r_")
+	seq, err1 := r.Join(right, "K", "RK", "r_")
+	got, layout, err2 := r.HashJoinVec(4, right, "K", "RK", "r_")
 	if err1 != nil || err2 != nil {
 		t.Fatalf("join: %v / %v", err1, err2)
 	}
@@ -516,7 +521,7 @@ func TestVectorKernelsFuzzedIdentity(t *testing.T) {
 				return false
 			}
 			g1, err1 := r.GroupBy([]string{"K"}, []AggSpec{{Func: "sum", Col: "V", As: "S"}})
-			g2, _, err2 := r.GroupAggVec(3, []string{"K"}, []AggSpec{{Func: "sum", Col: "V", As: "S"}})
+			g2, _, err2 := groupAggVec(r, 3, []string{"K"}, []AggSpec{{Func: "sum", Col: "V", As: "S"}})
 			if err1 != nil || err2 != nil || !relationsIdentical(g1, g2) {
 				return false
 			}
@@ -598,7 +603,7 @@ func TestGroupAggVecExactLaneMerge(t *testing.T) {
 				t.Fatalf("%s: GroupBy: %v", tc.tag, err)
 			}
 			for _, par := range []int{2, 4, 8} {
-				got, layout, err := r.GroupAggVec(par, by, tc.aggs)
+				got, layout, err := groupAggVec(r, par, by, tc.aggs)
 				if err != nil {
 					t.Fatalf("%s par=%d: GroupAggVec: %v", tc.tag, par, err)
 				}
