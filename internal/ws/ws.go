@@ -10,7 +10,9 @@
 // routing, fault injection and the artificial per-call delay (a slower
 // network) come from the loopback RPC substrate in internal/httpsrv, so
 // the communication-cost category Cc of the benchmark's cost model
-// measures genuine request/response round trips.
+// measures genuine request/response round trips. Result sets travel
+// through the xmlmsg result-set codec without a tree; Query requests and
+// entity messages are parsed as trees.
 package ws
 
 import (
@@ -69,7 +71,11 @@ func (s *Service) Stats() (queries, updates uint64) {
 }
 
 // query executes the query operation.
-func (s *Service) query(doc *x.Node) (*x.Node, error) {
+func (s *Service) query(body, dst []byte) ([]byte, error) {
+	doc, err := httpsrv.ParseBody(body)
+	if err != nil {
+		return nil, err
+	}
 	atomic.AddUint64(&s.queries, 1)
 	if doc.Name != "Query" {
 		return nil, fmt.Errorf("ws: query operation expects a Query document, got %s", doc.Name)
@@ -79,30 +85,27 @@ func (s *Service) query(doc *x.Node) (*x.Node, error) {
 	if t == nil {
 		return nil, fmt.Errorf("ws: service %s has no table %q", s.name, table)
 	}
-	relation := t.Scan()
-	return x.FromRelation(table, relation), nil
+	return x.AppendResultSet(dst, table, t.Scan()), nil
 }
 
 // update executes the update operation: either a bulk ResultSet upsert or
 // a registered entity message.
-func (s *Service) update(doc *x.Node) error {
+func (s *Service) update(body []byte) error {
+	if table, relation, rest, ok := x.ScanResultSet(string(body)); ok && rest == "" {
+		atomic.AddUint64(&s.updates, 1)
+		return s.upsert(table, relation)
+	}
+	doc, err := httpsrv.ParseBody(body)
+	if err != nil {
+		return err
+	}
 	atomic.AddUint64(&s.updates, 1)
 	if doc.Name == "ResultSet" {
 		relation, err := x.ToRelation(doc)
 		if err != nil {
 			return err
 		}
-		table := doc.Attr("name")
-		t := s.db.Table(table)
-		if t == nil {
-			return fmt.Errorf("ws: service %s has no table %q", s.name, table)
-		}
-		for i := 0; i < relation.Len(); i++ {
-			if err := t.Upsert(relation.Row(i)); err != nil {
-				return err
-			}
-		}
-		return nil
+		return s.upsert(doc.Attr("name"), relation)
 	}
 	s.mu.RLock()
 	h := s.handlers[doc.Name]
@@ -111,6 +114,20 @@ func (s *Service) update(doc *x.Node) error {
 		return fmt.Errorf("ws: service %s has no handler for message %q", s.name, doc.Name)
 	}
 	return h(doc)
+}
+
+// upsert writes a bulk ResultSet update into the named table.
+func (s *Service) upsert(table string, relation *rel.Relation) error {
+	t := s.db.Table(table)
+	if t == nil {
+		return fmt.Errorf("ws: service %s has no table %q", s.name, table)
+	}
+	for _, row := range relation.Rows() {
+		if err := t.Upsert(row); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Registry hosts multiple services under one HTTP server.
@@ -138,11 +155,11 @@ func NewRegistry(delay time.Duration) *Registry {
 		},
 		Ops: map[string]httpsrv.Op[*Service]{
 			"query": (*Service).query,
-			"update": func(s *Service, doc *x.Node) (*x.Node, error) {
-				if err := s.update(doc); err != nil {
+			"update": func(s *Service, body, dst []byte) ([]byte, error) {
+				if err := s.update(body); err != nil {
 					return nil, err
 				}
-				return x.New("OK"), nil
+				return append(dst, "<OK></OK>"...), nil
 			},
 		},
 	}
@@ -198,7 +215,16 @@ func NewClient(baseURL, service string) *Client {
 
 // QueryContext fetches a whole table as an XML result-set document.
 func (c *Client) QueryContext(ctx context.Context, table string) (*x.Node, error) {
-	return c.rpc.Post(ctx, "query", x.New("Query").SetAttr("table", table))
+	answer, err := c.query(ctx, table)
+	if err != nil {
+		return nil, err
+	}
+	return x.ParseBytes(answer)
+}
+
+// query posts the query operation and returns the answer's bytes.
+func (c *Client) query(ctx context.Context, table string) ([]byte, error) {
+	return c.rpc.Post(ctx, "query", x.New("Query").SetAttr("table", table).AppendXML(nil))
 }
 
 // Query is QueryContext under context.Background.
@@ -208,11 +234,12 @@ func (c *Client) Query(table string) (*x.Node, error) {
 
 // QueryRelationContext fetches a whole table materialized as a relation.
 func (c *Client) QueryRelationContext(ctx context.Context, table string) (*rel.Relation, error) {
-	doc, err := c.QueryContext(ctx, table)
+	answer, err := c.query(ctx, table)
 	if err != nil {
 		return nil, err
 	}
-	return x.ToRelation(doc)
+	_, r, err := x.DecodeResultSet(answer)
+	return r, err
 }
 
 // QueryRelation is QueryRelationContext under context.Background.
@@ -223,7 +250,12 @@ func (c *Client) QueryRelation(table string) (*rel.Relation, error) {
 // UpdateContext posts a document (ResultSet bulk upsert or entity
 // message) to the service's update operation.
 func (c *Client) UpdateContext(ctx context.Context, doc *x.Node) error {
-	_, err := c.rpc.Post(ctx, "update", doc)
+	return c.update(ctx, doc.AppendXML(nil))
+}
+
+// update posts a body to the update operation.
+func (c *Client) update(ctx context.Context, body []byte) error {
+	_, err := c.rpc.Post(ctx, "update", body)
 	return err
 }
 
@@ -234,7 +266,7 @@ func (c *Client) Update(doc *x.Node) error {
 
 // UpdateRelationContext bulk-upserts a relation into the named table.
 func (c *Client) UpdateRelationContext(ctx context.Context, table string, r *rel.Relation) error {
-	return c.UpdateContext(ctx, x.FromRelation(table, r))
+	return c.update(ctx, x.AppendResultSet(nil, table, r))
 }
 
 // UpdateRelation is UpdateRelationContext under context.Background.

@@ -17,7 +17,7 @@ import (
 // anything it does not recognize — accepted documents and error messages are
 // identical either way.
 
-// bufPool recycles serialization buffers across String/WriteXML calls.
+// bufPool recycles serialization buffers across String calls.
 var bufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 512)
 	return &b

@@ -46,10 +46,6 @@ func TestAppendXMLMatchesEncodingXML(t *testing.T) {
 		if s := n.String(); s != want {
 			t.Errorf("String mismatch for %s:\n got  %q\n want %q", n.Name, s, want)
 		}
-		var b strings.Builder
-		if err := n.WriteXML(&b); err != nil || b.String() != want {
-			t.Errorf("WriteXML mismatch for %s (err %v)", n.Name, err)
-		}
 	}
 }
 

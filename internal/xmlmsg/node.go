@@ -159,19 +159,6 @@ func (n *Node) CountElements() int {
 	return count
 }
 
-// WriteXML serializes the tree. Attributes are written in sorted key order
-// so output is deterministic. The bytes are produced by AppendXML on a
-// pooled buffer and written in one call; encodeStd remains as the reference
-// implementation the tests compare against.
-func (n *Node) WriteXML(w io.Writer) error {
-	bp := bufPool.Get().(*[]byte)
-	b := n.AppendXML((*bp)[:0])
-	_, err := w.Write(b)
-	*bp = b[:0]
-	bufPool.Put(bp)
-	return err
-}
-
 // encodeStd is the encoding/xml serialization AppendXML must byte-match.
 func (n *Node) encodeStd(enc *xml.Encoder) error {
 	start := xml.StartElement{Name: xml.Name{Local: n.Name}}
