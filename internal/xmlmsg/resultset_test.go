@@ -1,6 +1,7 @@
 package xmlmsg
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -174,5 +175,7 @@ func normalizeXMLText(s string) string {
 		fields = append(fields, r)
 		started = true
 	}
-	return string(fields)
+	// The parser trims all Unicode white space (U+3000, U+00A0, ...), not
+	// only ' '.
+	return strings.TrimSpace(string(fields))
 }
