@@ -60,6 +60,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/driver"
@@ -171,6 +172,9 @@ func main() {
 				for _, id := range ids {
 					line += fmt.Sprintf(" %s:%d", id, s.FailuresByProcess[id])
 				}
+			}
+			if s.MVCheck > 0 {
+				line += fmt.Sprintf(", MV check %v", s.MVCheck.Round(time.Microsecond))
 			}
 			fmt.Println(line + ")")
 		}

@@ -10,9 +10,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/monitor"
@@ -20,9 +23,18 @@ import (
 )
 
 func main() {
-	d := flag.Float64("d", 0.05, "scale factor datasize")
-	periods := flag.Int("periods", 2, "benchmark periods")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("comparison", flag.ContinueOnError)
+	d := fs.Float64("d", 0.05, "scale factor datasize")
+	periods := fs.Int("periods", 2, "benchmark periods")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	engines := []string{core.EngineFederated, core.EnginePipeline, core.EngineEAI, core.EngineETL}
 	reports := make(map[string]*monitor.Report, len(engines))
@@ -34,15 +46,17 @@ func main() {
 			Engine: eng, FastClock: true, Verify: true,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := b.Run()
 		if err != nil {
-			log.Fatal(err)
+			_ = b.Close()
+			return err
 		}
 		if !res.Stats.Verification.OK() {
-			fmt.Print(res.Stats.Verification)
-			log.Fatalf("%s: functional verification failed", eng)
+			fmt.Fprint(w, res.Stats.Verification)
+			_ = b.Close()
+			return fmt.Errorf("%s: functional verification failed", eng)
 		}
 		reports[eng] = res.Report
 		elapsed[eng] = res.Stats.Elapsed.Round(1e6).String()
@@ -50,33 +64,34 @@ func main() {
 			// Show the data-quality state the last engine left behind —
 			// identical across engines, since they are functionally
 			// equivalent.
-			fmt.Print(quality.Assess(b.Scenario()))
-			fmt.Println()
+			fmt.Fprint(w, quality.Assess(b.Scenario()))
+			fmt.Fprintln(w)
 		}
 		_ = b.Close()
 	}
 
-	fmt.Printf("NAVG+ per process type [tu], d=%g, %d periods, functional clock:\n\n", *d, *periods)
-	fmt.Printf("%-6s", "Proc")
+	fmt.Fprintf(w, "NAVG+ per process type [tu], d=%g, %d periods, functional clock:\n\n", *d, *periods)
+	fmt.Fprintf(w, "%-6s", "Proc")
 	for _, eng := range engines {
-		fmt.Printf(" %12s", eng)
+		fmt.Fprintf(w, " %12s", eng)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, st := range reports[engines[0]].Stats {
-		fmt.Printf("%-6s", st.Process)
+		fmt.Fprintf(w, "%-6s", st.Process)
 		for _, eng := range engines {
 			row := reports[eng].ByProcess(st.Process)
 			if row == nil {
-				fmt.Printf(" %12s", "-")
+				fmt.Fprintf(w, " %12s", "-")
 				continue
 			}
-			fmt.Printf(" %12.2f", row.NAVGPlus)
+			fmt.Fprintf(w, " %12.2f", row.NAVGPlus)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("\nwall time per run:")
+	fmt.Fprintf(w, "\nwall time per run:")
 	for _, eng := range engines {
-		fmt.Printf("  %s=%s", eng, elapsed[eng])
+		fmt.Fprintf(w, "  %s=%s", eng, elapsed[eng])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }

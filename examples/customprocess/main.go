@@ -11,8 +11,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/datagen"
 	"repro/internal/monitor"
@@ -23,15 +27,24 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, args []string) error {
+	if err := flag.NewFlagSet("customprocess", flag.ContinueOnError).Parse(args); err != nil {
+		return err
+	}
 	// Stand the topology up and load one period of source data.
 	s, err := scenario.New(scenario.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer s.Close()
 	gen := datagen.MustNew(datagen.Config{Seed: 7, Datasize: 0.05, Dist: datagen.Uniform})
 	if err := s.InitializeSources(gen); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Create the custom target table on the warehouse instance.
@@ -41,7 +54,7 @@ func main() {
 		rel.Col("Amount", rel.TypeFloat),
 	}, "OrderID")
 	if _, err := s.DB(schema.SysDWH).CreateTable("HighValueOpenOrders", reportSchema); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Define the process with MTM operators.
@@ -71,7 +84,7 @@ func main() {
 		},
 	}
 	if err := p.Validate(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Execute one instance with cost monitoring attached.
@@ -81,23 +94,24 @@ func main() {
 	err = mtm.Run(p, ctx)
 	rec.Finish(err)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Inspect the outcome.
 	report := s.DB(schema.SysDWH).MustTable("HighValueOpenOrders").Scan()
-	fmt.Printf("custom process %s (%d operators) loaded %d high-value open orders:\n",
+	fmt.Fprintf(w, "custom process %s (%d operators) loaded %d high-value open orders:\n",
 		p.ID, p.OperatorCount(), report.Len())
 	sorted, err := report.Sort("Amount")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i := 0; i < sorted.Len() && i < 5; i++ {
-		fmt.Printf("  order %d, customer %d, amount %.2f\n",
+		fmt.Fprintf(w, "  order %d, customer %d, amount %.2f\n",
 			sorted.Get(i, "OrderID").Int(),
 			sorted.Get(i, "CustomerID").Int(),
 			sorted.Get(i, "Amount").Float())
 	}
-	fmt.Println()
-	fmt.Print(mon.Analyze())
+	fmt.Fprintln(w)
+	fmt.Fprint(w, mon.Analyze())
+	return nil
 }

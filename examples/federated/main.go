@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -22,11 +24,20 @@ import (
 )
 
 func main() {
-	periods := flag.Int("periods", 3, "benchmark periods per configuration")
-	timeScale := flag.Float64("t", 50, "time scale factor t (paper: 1.0)")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	run := func(d float64) *monitor.Report {
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("federated", flag.ContinueOnError)
+	periods := fs.Int("periods", 3, "benchmark periods per configuration")
+	timeScale := fs.Float64("t", 50, "time scale factor t (paper: 1.0)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	runAt := func(d float64) (*monitor.Report, error) {
 		b, err := core.New(core.Config{
 			Datasize:     d,
 			TimeScale:    *timeScale,
@@ -37,33 +48,39 @@ func main() {
 			Verify:       true,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		defer b.Close()
-		fmt.Printf("== running federated reference implementation: d=%g, t=%g, %d periods ==\n",
+		fmt.Fprintf(w, "== running federated reference implementation: d=%g, t=%g, %d periods ==\n",
 			d, *timeScale, *periods)
 		res, err := b.Run()
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		if res.Stats.Verification != nil && !res.Stats.Verification.OK() {
-			fmt.Print(res.Stats.Verification)
-			log.Fatal("functional verification failed")
+			fmt.Fprint(w, res.Stats.Verification)
+			return nil, errors.New("functional verification failed")
 		}
-		fmt.Printf("executed %d events in %v (%d failures)\n\n",
+		fmt.Fprintf(w, "executed %d events in %v (%d failures)\n\n",
 			res.Stats.Events, res.Stats.Elapsed.Round(1e6), res.Stats.Failures)
-		if err := res.Report.Plot(os.Stdout, d); err != nil {
-			log.Fatal(err)
+		if err := res.Report.Plot(w, d); err != nil {
+			return nil, err
 		}
-		fmt.Println()
-		return res.Report
+		fmt.Fprintln(w)
+		return res.Report, nil
 	}
 
 	// Fig. 10: d = 0.05.  Fig. 11: d = 0.1.
-	rep005 := run(0.05)
-	rep010 := run(0.1)
+	rep005, err := runAt(0.05)
+	if err != nil {
+		return err
+	}
+	rep010, err := runAt(0.1)
+	if err != nil {
+		return err
+	}
 
-	fmt.Println("== observations (cf. Section VI of the paper) ==")
+	fmt.Fprintln(w, "== observations (cf. Section VI of the paper) ==")
 	// 1. Serialized data-intensive processes vs. concurrent message-driven.
 	serialized := []string{"P11", "P12", "P13", "P14", "P15"}
 	concurrent := []string{"P01", "P02", "P04", "P08", "P10"}
@@ -82,17 +99,18 @@ func main() {
 		return sum / float64(n)
 	}
 	s, c := avg(rep005, serialized), avg(rep005, concurrent)
-	fmt.Printf("1. NAVG+ difference at d=0.05: serialized data-intensive avg %.1f tu vs. "+
+	fmt.Fprintf(w, "1. NAVG+ difference at d=0.05: serialized data-intensive avg %.1f tu vs. "+
 		"concurrent message-driven avg %.1f tu (x%.1f)\n", s, c, s/c)
 
 	// 2. Impact of doubling d on E1-driven process types.
-	fmt.Println("2. raising d from 0.05 to 0.1:")
+	fmt.Fprintln(w, "2. raising d from 0.05 to 0.1:")
 	for _, id := range []string{"P04", "P08", "P10", "P13"} {
 		a, b := rep005.ByProcess(id), rep010.ByProcess(id)
 		if a == nil || b == nil {
 			continue
 		}
-		fmt.Printf("   %s: NAVG+ %.2f -> %.2f tu (instances %d -> %d)\n",
+		fmt.Fprintf(w, "   %s: NAVG+ %.2f -> %.2f tu (instances %d -> %d)\n",
 			id, a.NAVGPlus, b.NAVGPlus, a.Instances, b.Instances)
 	}
+	return nil
 }

@@ -5,7 +5,10 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -13,6 +16,15 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, args []string) error {
+	if err := flag.NewFlagSet("quickstart", flag.ContinueOnError).Parse(args); err != nil {
+		return err
+	}
 	// A small configuration: 2 periods at datasize 0.02 on the federated
 	// reference engine, functional clock (no schedule waiting), with the
 	// post-phase verification enabled.
@@ -26,25 +38,26 @@ func main() {
 		Verify:    true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer b.Close()
 
 	res, err := b.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("executed %d process instances over %d periods in %v\n\n",
+	fmt.Fprintf(w, "executed %d process instances over %d periods in %v\n\n",
 		res.Stats.Events, res.Stats.Periods, res.Stats.Elapsed.Round(1e6))
-	fmt.Print(res.Report)
-	fmt.Println()
-	if err := res.Report.Plot(os.Stdout, b.Config().Datasize); err != nil {
-		log.Fatal(err)
+	fmt.Fprint(w, res.Report)
+	fmt.Fprintln(w)
+	if err := res.Report.Plot(w, b.Config().Datasize); err != nil {
+		return err
 	}
-	fmt.Println()
-	fmt.Print(res.Stats.Verification)
+	fmt.Fprintln(w)
+	fmt.Fprint(w, res.Stats.Verification)
 	if !res.Stats.Verification.OK() {
-		os.Exit(1)
+		return errors.New("functional verification failed")
 	}
+	return nil
 }

@@ -143,9 +143,11 @@ type Config struct {
 	// views and marts. Requires Shards > 0.
 	ShardVerify bool
 	// MVCheckEvery > 0 recomputes every OrdersMV from scratch every N-th
-	// period and aborts on any divergence from the stored (possibly
-	// incrementally maintained) view. Verify implies MVCheckEvery=1 when
-	// unset.
+	// period — a typed fold of Orders into (count, sum) per (Year, Month,
+	// Custkey), independent of the refresh procedure — and aborts on any
+	// divergence from the stored (possibly incrementally maintained) view:
+	// counts must be equal and sums bit-equal. Verify implies
+	// MVCheckEvery=1 when unset.
 	MVCheckEvery int
 	// RecomputeVerify, after a successful run with incremental
 	// maintenance, executes a full-recompute twin of the same

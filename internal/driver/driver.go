@@ -39,8 +39,11 @@ type Config struct {
 	OnPeriod func(k int, s PeriodStats)
 	// MVCheckEvery > 0 verifies every N-th period (after its streams
 	// complete) that each stored OrdersMV equals a from-scratch recompute
-	// of the view — the guard rail for incremental maintenance. A
-	// mismatch aborts the run.
+	// of the view — the guard rail for incremental maintenance. The
+	// recompute is a typed fold of Orders into (count, sum) per group,
+	// compared exactly (bit-equal sums) against every stored row; it
+	// shares no code with the refresh procedure it guards. A mismatch
+	// aborts the run.
 	MVCheckEvery int
 	// Log, when non-nil, observes dispatches, acknowledgements and
 	// barriers for crash recovery (the WAL tap). The first log error
@@ -77,6 +80,9 @@ type PeriodStats struct {
 	// shard that executed them (key 0 is the coordinator; nil on an
 	// unsharded engine).
 	EventsByShard map[int]int
+	// MVCheck is the wall time of the period's OrdersMV check (see
+	// Config.MVCheckEvery); 0 when the check did not run this period.
+	MVCheck time.Duration
 }
 
 // Validate checks the configuration.
@@ -243,7 +249,10 @@ func (c *Client) RunContext(ctx context.Context) (*RunStats, error) {
 		stats.Periods++
 		lastGen = prep.gen
 		if n := c.cfg.MVCheckEvery; n > 0 && (k+1)%n == 0 {
-			if err := checkMV(c.s, k); err != nil {
+			t0 := time.Now()
+			err := checkMV(c.s, k)
+			ps.MVCheck = time.Since(t0)
+			if err != nil {
 				stats.Elapsed = time.Since(start)
 				return stats, err
 			}

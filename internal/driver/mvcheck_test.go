@@ -16,7 +16,6 @@ import (
 type mvTarget struct {
 	sys              string
 	tab              *rel.Table
-	row              rel.Row
 	year, month, cus int64
 }
 
@@ -42,7 +41,7 @@ func mvRig(t *testing.T) (*rig, mvTarget) {
 		}
 		s := schema.WHOrdersMV
 		return r, mvTarget{
-			sys: m.Name, tab: tab, row: best,
+			sys: m.Name, tab: tab,
 			year:  best[s.MustOrdinal("Year")].Int(),
 			month: best[s.MustOrdinal("Month")].Int(),
 			cus:   best[s.MustOrdinal("Custkey")].Int(),

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -201,21 +202,19 @@ func (t *Table) InsertAll(r *Relation) error {
 	// them in place.
 	n := r.Len()
 	// Reserve the batch's storage up front so the load runs without
-	// incremental slice growth or hash-bucket splits: the row store, the
-	// PK index of an empty table (the mart-rebuild and staging pattern:
-	// truncate, then bulk load), and the change journal.
-	if need := n - len(t.free); need > 0 && cap(t.rows)-len(t.rows) < need {
-		grown := make([]Row, len(t.rows), len(t.rows)+need)
-		copy(grown, t.rows)
-		t.rows = grown
+	// per-row slice growth or hash-bucket splits: the row store, the PK
+	// index of an empty table (the mart-rebuild and staging pattern:
+	// truncate, then bulk load), and the change journal. slices.Grow
+	// reserves with append's geometric growth, so a load of many small
+	// batches copies each slice amortized O(1) times, not once per batch.
+	if need := n - len(t.free); need > 0 {
+		t.rows = slices.Grow(t.rows, need)
 	}
 	if t.schema.HasKey() && len(t.pk) == 0 && n > 0 {
 		t.pk = make(map[uint64][]int, n)
 	}
-	if reserve := min(n, t.journalLimit); reserve > 0 && cap(t.journal)-len(t.journal) < reserve {
-		grown := make([]Change, len(t.journal), len(t.journal)+reserve)
-		copy(grown, t.journal)
-		t.journal = grown
+	if reserve := min(n, t.journalLimit); reserve > 0 {
+		t.journal = slices.Grow(t.journal, reserve)
 	}
 	for i := 0; i < n; i++ {
 		row := r.Row(i)

@@ -364,3 +364,103 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertAllAmortizedGrowth loads 1,000 one-row batches into a keyed,
+// journaled table. The row store and the journal must grow geometrically
+// (a few dozen reallocations, not one per batch), and the table must end
+// up exactly like a twin loaded row at a time — rows in slot order, PK
+// lookups, journal, and free-slot reuse after deletes.
+func TestInsertAllAmortizedGrowth(t *testing.T) {
+	const batches = 1000
+	bulk, twin := newOrdersTable(), newOrdersTable()
+	row := func(i int) Row {
+		return Row{NewInt(int64(i)), NewInt(int64(i % 7)), NewString("OPEN"), NewFloat(float64(i) / 3)}
+	}
+	rowsCap, journalCap := cap(bulk.rows), cap(bulk.journal)
+	rowsGrew, journalGrew := 0, 0
+	for i := 0; i < batches; i++ {
+		if err := bulk.InsertAll(MustRelation(bulk.Schema(), []Row{row(i)})); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Insert(row(i)); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(bulk.rows); c != rowsCap {
+			rowsGrew, rowsCap = rowsGrew+1, c
+		}
+		if c := cap(bulk.journal); c != journalCap {
+			journalGrew, journalCap = journalGrew+1, c
+		}
+	}
+	if rowsGrew > 25 || journalGrew > 25 {
+		t.Errorf("%d one-row batches reallocated the row store %d times and the journal %d times, want <= 25 each",
+			batches, rowsGrew, journalGrew)
+	}
+	assertSameTable(t, bulk, twin)
+
+	// Free the slots of one customer's orders, then reload as many new
+	// orders in one batch: the batch must land in the freed slots.
+	for _, tbl := range []*Table{bulk, twin} {
+		if _, err := tbl.Delete(ColEq("Custkey", NewInt(3))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	freed := len(bulk.free)
+	if freed == 0 {
+		t.Fatal("delete freed no slots")
+	}
+	slots := len(bulk.rows)
+	reload := make([]Row, freed)
+	for i := range reload {
+		reload[i] = row(batches + i)
+		if err := twin.Insert(reload[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bulk.InsertAll(MustRelation(bulk.Schema(), reload)); err != nil {
+		t.Fatal(err)
+	}
+	if len(bulk.rows) != slots || len(bulk.free) != 0 {
+		t.Errorf("reload of %d rows grew the row store %d -> %d slots (%d still free), want freed slots reused",
+			freed, slots, len(bulk.rows), len(bulk.free))
+	}
+	assertSameTable(t, bulk, twin)
+}
+
+// assertSameTable checks that two tables hold the same rows in the same
+// slot order, answer the same PK lookups and carry the same journal.
+func assertSameTable(t *testing.T, got, want *Table) {
+	t.Helper()
+	g, w := got.Scan(), want.Scan()
+	if g.Len() != w.Len() {
+		t.Fatalf("scan: %d rows, want %d", g.Len(), w.Len())
+	}
+	for i := 0; i < g.Len(); i++ {
+		if rowChanged(g.Row(i), w.Row(i)) {
+			t.Fatalf("scan row %d: %v, want %v", i, g.Row(i), w.Row(i))
+		}
+		if l := got.Lookup(w.Row(i)[0]); rowChanged(l, w.Row(i)) {
+			t.Fatalf("lookup %v: %v, want %v", w.Row(i)[0], l, w.Row(i))
+		}
+	}
+	if gv, wv := got.Version(), want.Version(); gv != wv {
+		t.Fatalf("version %d, want %d", gv, wv)
+	}
+	gc, err := got.ChangesSince(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := want.ChangesSince(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gc.Changes) != len(wc.Changes) {
+		t.Fatalf("journal: %d changes, want %d", len(gc.Changes), len(wc.Changes))
+	}
+	for i, c := range gc.Changes {
+		wc := wc.Changes[i]
+		if c.Kind != wc.Kind || rowChanged(c.Old, wc.Old) || rowChanged(c.New, wc.New) {
+			t.Fatalf("journal entry %d: %+v, want %+v", i, c, wc)
+		}
+	}
+}
