@@ -403,7 +403,7 @@ func (c *Client) runPeriod(ctx context.Context, k int, prep prepared, rp resumeP
 	var crashed atomic.Bool
 
 	pol := c.eng.Options().Resilience
-	// On the direct E1 path the engine re-executes transient failures
+	// On the direct E1 path the engine re-issues transiently failed calls
 	// inside one monitor record (runInstanceRetried); the dispatch loop
 	// below must not retry again on top of that — it only re-dispatches
 	// for the queue and batch paths, which return at submit time.

@@ -616,10 +616,9 @@ func (e *Engine) ExecuteContext(ctx context.Context, processID string, input *x.
 	if input != nil {
 		return fmt.Errorf("engine: process %s is time-scheduled and takes no message", processID)
 	}
-	// Time-scheduled instances get the same in-record retry budget as
-	// message-triggered ones: their refreshes are idempotent re-runs, and
-	// without the extra attempts a transient streak that outlasts the
-	// call-level retries marks the whole period as failed.
+	// Time-scheduled instances get the same re-issue budget as
+	// message-triggered ones: without it a transient streak that outlasts
+	// the call-level retries marks the whole period as failed.
 	return e.runInstanceRetried(ctx, p, nil, period)
 }
 
@@ -712,27 +711,18 @@ func (e *Engine) runInstanceRecorded(ctx context.Context, p *mtm.Process, input 
 }
 
 // runInstanceRetried is runInstanceRecorded with the dispatch-level
-// re-execution policy applied INSIDE the record: a transiently failed
-// message-driven instance re-runs under the same monitor record, so the
-// execution ledger counts exactly one entry per dispatched instance with
-// its final outcome. Ledger determinism depends on this — two process
-// types issuing byte-identical requests to one endpoint race for the
-// occurrence slot that draws a fault streak, so per-attempt records
-// would attribute the extra retry record to whichever process lost the
-// race and the ledger digest would differ run to run.
+// retry budget applied INSIDE the instance: an external call that stays
+// transiently faulty through all its attempts is re-issued
+// (fault.WithReissues), so the execution ledger counts exactly one entry
+// per dispatched instance with its final outcome. Only the failed call
+// runs again — re-running the whole instance would re-apply its earlier
+// plain inserts (P13's warehouse loads, P14's mart loads, the CDB loads
+// of group B) and fail them with "duplicate key".
 func (e *Engine) runInstanceRetried(ctx context.Context, p *mtm.Process, input *mtm.Message, period int) error {
-	pol := e.opts.Resilience
-	if pol == nil || pol.DispatchRetries <= 0 {
-		return e.runInstanceRecorded(ctx, p, input, period)
+	if pol := e.opts.Resilience; pol != nil {
+		ctx = fault.WithReissues(ctx, pol.DispatchRetries)
 	}
-	rec := e.mon.StartInstanceShard(p.ID, period, e.shardID)
-	e.instances.Add(1)
-	err := e.runInstance(ctx, p, input, rec)
-	for a := 0; a < pol.DispatchRetries && err != nil && fault.IsTransient(err) && ctx.Err() == nil; a++ {
-		err = e.runInstance(ctx, p, input, rec)
-	}
-	rec.Finish(err)
-	return err
+	return e.runInstanceRecorded(ctx, p, input, period)
 }
 
 // runInstance compiles (or fetches) the plan and executes the operators.

@@ -39,8 +39,11 @@ type Policy struct {
 	// BreakerCooldown is how long an open breaker rejects calls before
 	// letting a half-open probe through. Default 50ms.
 	BreakerCooldown time.Duration
-	// DispatchRetries is how many times the driver re-dispatches a failed
-	// E1 instance whose error is transient. Default 1.
+	// DispatchRetries is the per-instance budget for recovering from a
+	// transient failure that outlasted MaxAttempts: the engine re-issues
+	// the exhausted call (see WithReissues) up to this many times per
+	// instance, and the driver re-dispatches a queued or batched E1
+	// message this many times. Default 1.
 	DispatchRetries int
 	// DLQLimit caps the engine's dead-letter queue. Default 1024.
 	DLQLimit int
@@ -260,7 +263,7 @@ type Resilient struct {
 // checks the shapes match where Resilient is used as an mtm.External.
 type external interface {
 	Query(ctx context.Context, system, table string, pred rel.Predicate) (*rel.Relation, error)
-	FetchXML(ctx context.Context, system, table string) (*x.Node, error)
+	FetchXML(ctx context.Context, system, table string) ([]byte, error)
 	Insert(ctx context.Context, system, table string, r *rel.Relation) error
 	Upsert(ctx context.Context, system, table string, r *rel.Relation) error
 	Delete(ctx context.Context, system, table string, pred rel.Predicate) (int, error)
@@ -342,8 +345,47 @@ func (r *Resilient) backoff(endpoint string, b *breaker, attempt int) time.Durat
 	return time.Duration((0.5 + 0.5*rng.Float64()) * float64(d))
 }
 
-// do runs one external call under the resilience policy.
+// reissueKey carries a process instance's re-issue budget through a
+// context.
+type reissueKey struct{}
+
+// WithReissues gives the external calls made under ctx a shared budget of
+// n re-issues: a call whose attempts are all used up by transient faults
+// starts a fresh round of attempts while the budget lasts. Re-issuing the
+// one failed call, rather than re-running the whole instance, keeps the
+// instance's earlier writes from being applied twice — a re-run's plain
+// inserts would fail with "duplicate key" and the instance for good.
+func WithReissues(ctx context.Context, n int) context.Context {
+	if n <= 0 {
+		return ctx
+	}
+	b := new(atomic.Int64)
+	b.Store(int64(n))
+	return context.WithValue(ctx, reissueKey{}, b)
+}
+
+// takeReissue spends one unit of the context's re-issue budget.
+func takeReissue(ctx context.Context) bool {
+	b, _ := ctx.Value(reissueKey{}).(*atomic.Int64)
+	return b != nil && b.Add(-1) >= 0
+}
+
+// do runs one external call under the resilience policy, re-issuing it
+// while the context's re-issue budget lasts (WithReissues).
 func (r *Resilient) do(ctx context.Context, endpoint string, op func(context.Context) error) error {
+	for {
+		err := r.attempts(ctx, endpoint, op)
+		var ee *ExhaustedError
+		if !errors.As(err, &ee) || ctx.Err() != nil || !takeReissue(ctx) {
+			return err
+		}
+		r.retries.Add(1)
+		r.rec.CountRetry(endpoint)
+	}
+}
+
+// attempts runs one round of up to MaxAttempts attempts of a call.
+func (r *Resilient) attempts(ctx context.Context, endpoint string, op func(context.Context) error) error {
 	b := r.breakerFor(endpoint)
 	now := time.Now()
 	if !b.allow(now, r.policy.BreakerCooldown) {
@@ -419,8 +461,8 @@ func (r *Resilient) QuerySince(ctx context.Context, system, table string, since 
 }
 
 // FetchXML implements mtm.External.
-func (r *Resilient) FetchXML(ctx context.Context, system, table string) (*x.Node, error) {
-	var out *x.Node
+func (r *Resilient) FetchXML(ctx context.Context, system, table string) ([]byte, error) {
+	var out []byte
 	err := r.do(ctx, system, func(ctx context.Context) error {
 		var e error
 		out, e = r.inner.FetchXML(ctx, system, table)

@@ -43,7 +43,7 @@ func (f *fakeExt) callCount(endpoint string) int {
 func (f *fakeExt) Query(ctx context.Context, system, table string, pred rel.Predicate) (*rel.Relation, error) {
 	return nil, f.attempt(system)
 }
-func (f *fakeExt) FetchXML(ctx context.Context, system, table string) (*x.Node, error) {
+func (f *fakeExt) FetchXML(ctx context.Context, system, table string) ([]byte, error) {
 	return nil, f.attempt(system)
 }
 func (f *fakeExt) Insert(ctx context.Context, system, table string, r *rel.Relation) error {
@@ -168,6 +168,70 @@ func TestExhaustedAfterMaxAttempts(t *testing.T) {
 	}
 	if n := ext.callCount("ws/supplier"); n != 4 {
 		t.Errorf("call count = %d, want 4", n)
+	}
+}
+
+// TestReissueBudgetRetriesOnlyTheExhaustedCall: a call whose attempts all
+// fail transiently gets a fresh round while the context's budget lasts,
+// the budget is shared by every call made under that context, and calls
+// that succeed are never repeated.
+func TestReissueBudgetRetriesOnlyTheExhaustedCall(t *testing.T) {
+	// ws/mart fails its first 6 attempts: one full round of 4 plus two
+	// more, so it needs exactly one re-issue.
+	ext := newFakeExt(func(ep string, call int) error {
+		if ep == "ws/mart" && call <= 6 {
+			return &TransientError{Endpoint: ep, Msg: "injected"}
+		}
+		return nil
+	})
+	rec := newCountingRecorder()
+	r := NewResilient(ext, fastPolicy(), rec)
+	ctx := WithReissues(context.Background(), 1)
+	if err := r.Insert(ctx, "ws/dwh", "Orders", nil); err != nil {
+		t.Fatalf("healthy insert: %v", err)
+	}
+	if err := r.Insert(ctx, "ws/mart", "Customer", nil); err != nil {
+		t.Fatalf("insert with one re-issue left: %v", err)
+	}
+	if n := ext.callCount("ws/dwh"); n != 1 {
+		t.Errorf("healthy call repeated: %d calls, want 1", n)
+	}
+	if n := ext.callCount("ws/mart"); n != 7 {
+		t.Errorf("faulty call count = %d, want 7 (4 + 3 after the re-issue)", n)
+	}
+	if retries, _ := r.Stats(); retries != 6 || rec.retries["ws/mart"] != 6 {
+		t.Errorf("retries = %d (recorder %v), want 6: 3+1 re-issue+2", retries, rec.retries)
+	}
+
+	// The budget is spent: the next exhausted call under ctx gives up
+	// after one round, and a context without a budget never re-issues.
+	down := newFakeExt(func(ep string, int int) error {
+		return &HTTPStatusError{Status: 503, Body: "injected"}
+	})
+	rd := NewResilient(down, fastPolicy(), nil)
+	for _, c := range []context.Context{ctx, context.Background(), WithReissues(context.Background(), 0)} {
+		before := down.callCount("ws/cdb")
+		err := rd.Insert(c, "ws/cdb", "Orders", nil)
+		var ex *ExhaustedError
+		if !errors.As(err, &ex) || ex.Attempts != 4 {
+			t.Fatalf("err = %v, want ExhaustedError after 4 attempts", err)
+		}
+		if n := down.callCount("ws/cdb") - before; n != 4 {
+			t.Errorf("call count = %d, want 4 (no re-issue)", n)
+		}
+	}
+
+	// Two re-issues: a permanently failing call runs three rounds (the
+	// breaker is off so its window cannot cut the rounds short).
+	pol := fastPolicy()
+	pol.BreakerThreshold = 1.1
+	down = newFakeExt(down.fail)
+	rd = NewResilient(down, pol, nil)
+	if err := rd.Insert(WithReissues(context.Background(), 2), "ws/cdb", "Orders", nil); !IsTransient(err) {
+		t.Fatalf("err = %v, want a transient exhaustion", err)
+	}
+	if n := down.callCount("ws/cdb"); n != 12 {
+		t.Errorf("call count = %d, want 12 (3 rounds of 4)", n)
 	}
 }
 

@@ -63,9 +63,9 @@ func (nopRecorder) Record(Cost, time.Duration) {}
 type External interface {
 	// Query reads rows of a table matching the predicate.
 	Query(ctx context.Context, system, table string, pred rel.Predicate) (*rel.Relation, error)
-	// FetchXML reads a whole table as a raw XML result-set document (the
-	// web-service extraction path of P09).
-	FetchXML(ctx context.Context, system, table string) (*x.Node, error)
+	// FetchXML reads a whole table as the bytes of an XML result-set
+	// document (the web-service extraction path of P09).
+	FetchXML(ctx context.Context, system, table string) ([]byte, error)
 	// Insert appends the dataset to a table.
 	Insert(ctx context.Context, system, table string, r *rel.Relation) error
 	// Upsert inserts-or-replaces the dataset by primary key.
@@ -241,7 +241,8 @@ func (c *Context) Set(name string, m *Message) {
 	c.vars[name] = m
 }
 
-// Doc returns the XML payload of a variable.
+// Doc returns the XML payload of a variable, parsing a serialized one
+// (see Message.RequireDoc).
 func (c *Context) Doc(name string) (*x.Node, error) {
 	m, err := c.MustGet(name)
 	if err != nil {

@@ -21,6 +21,10 @@ import (
 type Message struct {
 	// Doc is the XML payload, nil for pure datasets.
 	Doc *x.Node
+	// XML is an XML payload still in serialized form, set instead of Doc:
+	// a result set extracted from a web service stays bytes through
+	// TRANSLATE and CONVERT, and Context.Doc parses it only on request.
+	XML []byte
 	// Data is the relational payload, nil for pure XML messages.
 	Data *rel.Relation
 	// Delta is the net change set behind an incremental extraction
@@ -31,6 +35,9 @@ type Message struct {
 
 // XMLMessage wraps a document as a message.
 func XMLMessage(doc *x.Node) *Message { return &Message{Doc: doc} }
+
+// RawXMLMessage wraps a serialized document as a message.
+func RawXMLMessage(b []byte) *Message { return &Message{XML: b} }
 
 // DataMessage wraps a relation as a message.
 func DataMessage(r *rel.Relation) *Message { return &Message{Data: r} }
@@ -49,17 +56,25 @@ func (m *Message) RequireDelta(varName string) (*rel.Delta, error) {
 }
 
 // IsXML reports whether the message carries an XML document.
-func (m *Message) IsXML() bool { return m != nil && m.Doc != nil }
+func (m *Message) IsXML() bool { return m != nil && (m.Doc != nil || len(m.XML) > 0) }
+
+// rawXML reports whether the message carries its document serialized.
+func (m *Message) rawXML() bool { return m != nil && m.Doc == nil && len(m.XML) > 0 }
 
 // IsData reports whether the message carries a relational dataset.
 func (m *Message) IsData() bool { return m != nil && m.Data != nil }
 
-// RequireDoc returns the XML payload or an error naming the variable.
+// RequireDoc returns the XML payload or an error naming the variable. A
+// serialized payload is parsed into a new tree on every call; the message
+// itself is left as it is, since operators may share it.
 func (m *Message) RequireDoc(varName string) (*x.Node, error) {
-	if m == nil || m.Doc == nil {
-		return nil, fmt.Errorf("mtm: variable %q does not hold an XML document", varName)
+	switch {
+	case m != nil && m.Doc != nil:
+		return m.Doc, nil
+	case m.rawXML():
+		return x.ParseBytes(m.XML)
 	}
-	return m.Doc, nil
+	return nil, fmt.Errorf("mtm: variable %q does not hold an XML document", varName)
 }
 
 // RequireData returns the relational payload or an error naming the
@@ -80,8 +95,12 @@ func (m *Message) Size() int {
 	switch {
 	case m.Data != nil:
 		return m.Data.Len()
-	case m.Doc != nil:
-		return m.Doc.CountElements()
+	case m.IsXML():
+		doc, err := m.RequireDoc("")
+		if err != nil {
+			return 0
+		}
+		return doc.CountElements()
 	default:
 		return 0
 	}

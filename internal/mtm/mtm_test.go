@@ -47,12 +47,12 @@ func (f *fakeExternal) Query(_ context.Context, system, table string, pred rel.P
 	return t.SelectWhere(pred)
 }
 
-func (f *fakeExternal) FetchXML(_ context.Context, system, table string) (*x.Node, error) {
+func (f *fakeExternal) FetchXML(_ context.Context, system, table string) ([]byte, error) {
 	r, err := f.Query(context.Background(), system, table, rel.True())
 	if err != nil {
 		return nil, err
 	}
-	return x.FromRelation(table, r), nil
+	return x.AppendResultSet(nil, table, r), nil
 }
 
 func (f *fakeExternal) Insert(_ context.Context, system, table string, r *rel.Relation) error {
@@ -327,6 +327,56 @@ func TestTranslateOperator(t *testing.T) {
 	ctx.Set("data", DataMessage(rel.Empty(kvSchema())))
 	if err := (Translate{In: "data", Out: "o", Sheet: sheet}).Execute(ctx); err == nil {
 		t.Fatal("dataset accepted by XML translate")
+	}
+}
+
+// TestSerializedXMLStaysBytes follows a serialized document through
+// TRANSLATE and CONVERT: it stays bytes, reads as the tree path's
+// document, and a document the stylesheet drops is no document.
+func TestSerializedXMLStaysBytes(t *testing.T) {
+	sheet := stx.MustNew("t", stx.ActCopy,
+		stx.Rule{Pattern: "Column", Action: stx.ActCopy,
+			AttrValueMap: map[string]map[string]string{"name": {"K": "Key"}}})
+	r := rel.MustRelation(kvSchema(), []rel.Row{{rel.NewInt(1), rel.NewString("a")}})
+	ctx := NewContext(nil, nil, nil)
+	raw := RawXMLMessage(x.AppendResultSet(nil, "T", r))
+	ctx.Set("raw", raw)
+	if err := (Translate{In: "raw", Out: "xlat", Sheet: sheet}).Execute(ctx); err != nil {
+		t.Fatal(err)
+	}
+	xlat := ctx.Get("xlat")
+	if xlat.Doc != nil || !xlat.IsXML() {
+		t.Fatal("serialized input translated to a tree")
+	}
+	doc, err := ctx.Doc("xlat")
+	if err != nil || doc.Path("Metadata/Column").Attr("name") != "Key" {
+		t.Fatalf("translated document: %v %v", doc, err)
+	}
+	if xlat.Doc != nil || raw.Doc != nil {
+		t.Fatal("Doc stored its parse in the shared message")
+	}
+	if xlat.Size() != doc.CountElements() {
+		t.Fatalf("size %d, want %d", xlat.Size(), doc.CountElements())
+	}
+	if err := (ToData{In: "xlat", Out: "data"}).Execute(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := ctx.Data("data"); got.Schema().Columns[0].Name != "Key" || got.Len() != 1 {
+		t.Fatalf("converted: %v", got)
+	}
+	drop := stx.MustNew("drop", stx.ActDrop)
+	if err := (Translate{In: "raw", Out: "none", Sheet: drop}).Execute(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.Doc("none"); err == nil {
+		t.Fatal("dropped document reads as a document")
+	}
+	ctx.Set("bad", RawXMLMessage([]byte("<ResultSet>")))
+	if err := (Translate{In: "bad", Out: "o", Sheet: sheet}).Execute(ctx); err == nil {
+		t.Fatal("malformed document translated")
+	}
+	if err := (ToData{In: "bad", Out: "o"}).Execute(ctx); err == nil {
+		t.Fatal("malformed document converted")
 	}
 }
 

@@ -166,11 +166,11 @@ func (o Invoke) Execute(ctx *Context) error {
 		}
 		ctx.Set(o.Out, DeltaMessage(d))
 	case OpFetchXML:
-		doc, err := ctx.Ext.FetchXML(ectx, o.Service, o.Table)
+		b, err := ctx.Ext.FetchXML(ectx, o.Service, o.Table)
 		if err != nil {
 			return invokeErr(o, err)
 		}
-		ctx.Set(o.Out, XMLMessage(doc))
+		ctx.Set(o.Out, RawXMLMessage(b))
 	case OpInsert:
 		r, err := ctx.Data(o.In)
 		if err != nil {
@@ -261,7 +261,9 @@ func (o Invoke) querySince(ctx *Context, ectx context.Context) (*rel.Delta, erro
 }
 
 // Translate applies an STX stylesheet to an XML message — the TRANSLATE
-// operator realizing schema translations.
+// operator realizing schema translations. A serialized message is
+// translated to a serialized one by AppendTransform, a tree to a tree by
+// Transform.
 type Translate struct {
 	leaf
 	In, Out string
@@ -276,7 +278,19 @@ func (Translate) Category() Cost { return CostProc }
 
 // Execute implements Operator.
 func (o Translate) Execute(ctx *Context) error {
-	doc, err := ctx.Doc(o.In)
+	m, err := ctx.MustGet(o.In)
+	if err != nil {
+		return err
+	}
+	if m.rawXML() {
+		out, err := o.Sheet.AppendTransform(nil, m.XML)
+		if err != nil {
+			return fmt.Errorf("mtm: TRANSLATE %s: %w", o.Sheet.Name, err)
+		}
+		ctx.Set(o.Out, RawXMLMessage(out))
+		return nil
+	}
+	doc, err := m.RequireDoc(o.In)
 	if err != nil {
 		return err
 	}
@@ -467,7 +481,8 @@ func (o Join) Execute(ctx *Context) error {
 	return nil
 }
 
-// ToData converts an XML result-set message into a dataset.
+// ToData converts an XML result-set message into a dataset; a serialized
+// one is decoded by x.DecodeResultSet without a tree.
 type ToData struct {
 	leaf
 	In, Out string
@@ -481,7 +496,19 @@ func (ToData) Category() Cost { return CostProc }
 
 // Execute implements Operator.
 func (o ToData) Execute(ctx *Context) error {
-	doc, err := ctx.Doc(o.In)
+	m, err := ctx.MustGet(o.In)
+	if err != nil {
+		return err
+	}
+	if m.rawXML() {
+		_, r, err := x.DecodeResultSet(m.XML)
+		if err != nil {
+			return fmt.Errorf("mtm: CONVERT to data: %w", err)
+		}
+		ctx.Set(o.Out, DataMessage(r))
+		return nil
+	}
+	doc, err := m.RequireDoc(o.In)
 	if err != nil {
 		return err
 	}

@@ -84,7 +84,7 @@ func (g *Gateway) QuerySince(ctx context.Context, system, table string, since ui
 }
 
 // FetchXML implements mtm.External.
-func (g *Gateway) FetchXML(ctx context.Context, system, table string) (*x.Node, error) {
+func (g *Gateway) FetchXML(ctx context.Context, system, table string) ([]byte, error) {
 	if IsWebService(system) {
 		return g.s.WSClient(system).QueryContext(ctx, table)
 	}
@@ -93,7 +93,7 @@ func (g *Gateway) FetchXML(ctx context.Context, system, table string) (*x.Node, 
 		if err != nil {
 			return nil, err
 		}
-		return x.FromRelation(table, r), nil
+		return x.AppendResultSet(nil, table, r), nil
 	}
 	// Databases can also serve XML result sets (export path).
 	conn, err := g.esConn(ctx, system)
@@ -104,7 +104,7 @@ func (g *Gateway) FetchXML(ctx context.Context, system, table string) (*x.Node, 
 	if err != nil {
 		return nil, err
 	}
-	return x.FromRelation(table, r), nil
+	return x.AppendResultSet(nil, table, r), nil
 }
 
 // Insert implements mtm.External.

@@ -197,8 +197,11 @@ func TestGatewayWebServiceOperations(t *testing.T) {
 	if err != nil || one.Len() != 1 {
 		t.Fatalf("ws filtered query: %v %v", one, err)
 	}
-	doc, err := gw.FetchXML(context.Background(), schema.SysSeoul, "Orders")
-	if err != nil || doc.Name != "ResultSet" {
+	answer, err := gw.FetchXML(context.Background(), schema.SysSeoul, "Orders")
+	if err != nil {
+		t.Fatalf("fetchxml: %v", err)
+	}
+	if doc, err := x.ParseBytes(answer); err != nil || doc.Name != "ResultSet" {
 		t.Fatalf("fetchxml: %v %v", doc, err)
 	}
 	// Send an entity message to Seoul (the P01 target path).
@@ -232,8 +235,11 @@ func TestGatewayFetchXMLFromDatabase(t *testing.T) {
 	if err := s.InitializeSources(testGen()); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := s.Gateway().FetchXML(context.Background(), schema.SysTrondheim, "Customer")
-	if err != nil || doc.Name != "ResultSet" {
+	answer, err := s.Gateway().FetchXML(context.Background(), schema.SysTrondheim, "Customer")
+	if err != nil {
+		t.Fatalf("db fetchxml: %v", err)
+	}
+	if doc, err := x.ParseBytes(answer); err != nil || doc.Name != "ResultSet" {
 		t.Fatalf("db fetchxml: %v", err)
 	}
 }

@@ -11,8 +11,9 @@
 // network) come from the loopback RPC substrate in internal/httpsrv, so
 // the communication-cost category Cc of the benchmark's cost model
 // measures genuine request/response round trips. Result sets travel
-// through the xmlmsg result-set codec without a tree; Query requests and
-// entity messages are parsed as trees.
+// through the xmlmsg result-set codec without a tree, and the client hands
+// query answers on as bytes; Query requests and entity messages are parsed
+// as trees.
 package ws
 
 import (
@@ -213,28 +214,20 @@ func NewClient(baseURL, service string) *Client {
 	return &Client{rpc: httpsrv.NewClient(baseURL, "ws", strings.ToLower(service), "ws", 30*time.Second)}
 }
 
-// QueryContext fetches a whole table as an XML result-set document.
-func (c *Client) QueryContext(ctx context.Context, table string) (*x.Node, error) {
-	answer, err := c.query(ctx, table)
-	if err != nil {
-		return nil, err
-	}
-	return x.ParseBytes(answer)
-}
-
-// query posts the query operation and returns the answer's bytes.
-func (c *Client) query(ctx context.Context, table string) ([]byte, error) {
+// QueryContext fetches a whole table as the bytes of an XML result-set
+// document.
+func (c *Client) QueryContext(ctx context.Context, table string) ([]byte, error) {
 	return c.rpc.Post(ctx, "query", x.New("Query").SetAttr("table", table).AppendXML(nil))
 }
 
 // Query is QueryContext under context.Background.
-func (c *Client) Query(table string) (*x.Node, error) {
+func (c *Client) Query(table string) ([]byte, error) {
 	return c.QueryContext(context.Background(), table)
 }
 
 // QueryRelationContext fetches a whole table materialized as a relation.
 func (c *Client) QueryRelationContext(ctx context.Context, table string) (*rel.Relation, error) {
-	answer, err := c.query(ctx, table)
+	answer, err := c.QueryContext(ctx, table)
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,11 @@ func TestQueryReturnsResultSet(t *testing.T) {
 func TestQueryResultValidatesAgainstGenericXSD(t *testing.T) {
 	_, svc, url := startRegistry(t, 0)
 	seedCustomers(t, svc.Database(), 2)
-	doc, err := NewClient(url, schema.SysBeijing).Query("Customers")
+	answer, err := NewClient(url, schema.SysBeijing).Query("Customers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := x.ParseBytes(answer)
 	if err != nil {
 		t.Fatal(err)
 	}

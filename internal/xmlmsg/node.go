@@ -2,9 +2,11 @@
 // document object model over encoding/xml, a builder API, serialization,
 // path navigation and an XSD-lite validator.
 //
-// All XML exchanged in the benchmark scenario — Vienna and San Diego
-// business messages, MDM master-data messages and the generic result-set
-// documents of the Asia web services — is represented as *Node trees.
+// Documents a process inspects — Vienna and San Diego business messages,
+// MDM master-data messages — are *Node trees. Result sets stay bytes where
+// nothing looks inside them: the result-set codec (rscodec.go) reads and
+// writes them without a tree, and the Tokenizer (tokens.go) lets the STX
+// translation of P09 stream over the Asia web services' answers.
 package xmlmsg
 
 import (
@@ -78,12 +80,13 @@ func (n *Node) ChildrenNamed(name string) []*Node {
 // returns the first match, or nil.
 func (n *Node) Path(path string) *Node {
 	cur := n
-	for _, seg := range strings.Split(path, "/") {
+	for path != "" {
+		var seg string
+		seg, path, _ = strings.Cut(path, "/")
 		if seg == "" {
 			continue
 		}
-		cur = cur.Child(seg)
-		if cur == nil {
+		if cur = cur.Child(seg); cur == nil {
 			return nil
 		}
 	}

@@ -37,6 +37,18 @@ func TestBuilderAndNavigation(t *testing.T) {
 	if d.PathText("Nope") != "" {
 		t.Error("PathText on missing should be empty")
 	}
+	// Empty segments are skipped; the empty path is the node itself.
+	for _, p := range []string{"/Customer/Name", "Customer//Name/", "Customer/Name"} {
+		if got := d.PathText(p); got != "Ada" {
+			t.Errorf("PathText(%q): %q", p, got)
+		}
+	}
+	if d.Path("") != d || d.Path("/") != d {
+		t.Error("empty path should be the node itself")
+	}
+	if n := testing.AllocsPerRun(10, func() { d.PathText("Customer/Name") }); n != 0 {
+		t.Errorf("PathText allocates %.0f times", n)
+	}
 }
 
 func TestChildrenNamed(t *testing.T) {

@@ -20,8 +20,8 @@ import (
 //	  </Rows>
 //	</ResultSet>
 
-// ResultSetSchema is the XSD-lite schema every generic result set conforms
-// to; web-service responses are validated against it on receipt.
+// ResultSetSchema is the XSD-lite schema of the generic result set. The
+// codecs do not consult it; the tests hold their documents to it.
 var ResultSetSchema = NewSchema("XSD_ResultSet",
 	Elem("ResultSet",
 		Elem("Metadata",
