@@ -85,23 +85,3 @@ func (m *Message) RequireData(varName string) (*rel.Relation, error) {
 	}
 	return m.Data, nil
 }
-
-// Size estimates the message cardinality: rows for datasets, element count
-// for XML documents. Used by monitoring statistics.
-func (m *Message) Size() int {
-	if m == nil {
-		return 0
-	}
-	switch {
-	case m.Data != nil:
-		return m.Data.Len()
-	case m.IsXML():
-		doc, err := m.RequireDoc("")
-		if err != nil {
-			return 0
-		}
-		return doc.CountElements()
-	default:
-		return 0
-	}
-}

@@ -1,6 +1,6 @@
 package relational
 
-import "sort"
+import "slices"
 
 // Access-path planning: Table.SelectWhere, Table.Delete and Table.Update
 // recognize equality predicates on the primary key or on a CreateIndex'ed
@@ -83,9 +83,9 @@ func eqConjuncts(pred Predicate, out []cmpPred) []cmpPred {
 }
 
 // chooseLocked picks the access path for the predicate. For probe paths it
-// returns the candidate slots in ascending order (a private copy, safe to
-// hold while buckets are mutated); for AccessScan the slot list is nil and
-// the caller iterates all rows. Candidate rows still need the full
+// returns the candidate slots as a fresh slice in ascending order (safe to
+// hold while the indexes are mutated); for AccessScan the slot list is nil
+// and the caller iterates all rows. Candidate rows still need the full
 // predicate applied — the probe is a superset filter. The caller holds mu
 // in either mode.
 //
@@ -93,7 +93,7 @@ func eqConjuncts(pred Predicate, out []cmpPred) []cmpPred {
 // declared type exactly: Value.Compare equates BIGINT 5 with DOUBLE 5.0,
 // but the hash indexes are typed, so a mixed-type probe would miss rows a
 // scan finds.
-func (t *Table) chooseLocked(pred Predicate) (AccessPath, []int) {
+func (t *Table) chooseLocked(pred Predicate) (AccessPath, []int32) {
 	eqs := eqConjuncts(pred, nil)
 	if len(eqs) == 0 {
 		return AccessPath{Kind: AccessScan}, nil
@@ -115,27 +115,27 @@ func (t *Table) chooseLocked(pred Predicate) (AccessPath, []int) {
 			}
 		}
 		if found == len(t.schema.Key) {
-			return AccessPath{Kind: AccessPKProbe}, sortedSlots(t.pk[hashValues(key)])
+			return AccessPath{Kind: AccessPKProbe}, sortedSlots(&t.pk, hashValues(key))
 		}
 	}
 	// Single-column equality on a secondary index, first match wins.
 	for _, cp := range eqs {
-		idx, ok := t.indexes[lower(cp.col)]
-		if !ok || !typed(cp, idx.ordinal) {
+		idx := t.index(lower(cp.col))
+		if idx == nil || !typed(cp, idx.ordinal) {
 			continue
 		}
-		slots := sortedSlots(idx.buckets[hashValue(cp.val)])
+		slots := sortedSlots(&idx.slots, hashValue(cp.val))
 		return AccessPath{Kind: AccessIndexProbe, Column: t.schema.Columns[idx.ordinal].Name}, slots
 	}
 	return AccessPath{Kind: AccessScan}, nil
 }
 
-// sortedSlots copies a bucket's slot list in ascending order, so probe
-// paths visit rows in the same order a scan would (trigger firing order and
-// slot reuse stay deterministic and identical to the scan path).
-func sortedSlots(bucket []int) []int {
-	slots := make([]int, len(bucket))
-	copy(slots, bucket)
-	sort.Ints(slots)
+// sortedSlots returns the slots filed under h as a fresh slice in
+// ascending order, so probe paths visit rows in the same order a scan
+// would (trigger firing order and slot reuse stay deterministic and
+// identical to the scan path).
+func sortedSlots(index *chain[uint64], h uint64) []int32 {
+	slots := index.appendIDs(nil, h)
+	slices.Sort(slots)
 	return slots
 }

@@ -125,20 +125,19 @@ func (t *Table) RestoreSnapshot(rows []Row, version uint64) error {
 	defer t.mu.Unlock()
 	t.rows = make([]Row, len(rows))
 	t.free = nil
-	t.pk = make(map[uint64][]int, len(rows))
-	for _, idx := range t.indexes {
-		idx.buckets = make(map[uint64][]int)
+	t.pk = newChain[uint64](len(rows))
+	for i := range t.indexes {
+		t.indexes[i].slots = chain[uint64]{}
 	}
-	for slot, row := range rows {
+	for i, row := range rows {
 		row = row.Clone()
+		slot := int32(i)
 		if t.schema.HasKey() {
 			h := t.hashKey(row)
-			for _, prev := range t.pk[h] {
-				if keyEqual(t.rows[prev], row, t.schema.Key) {
-					return &KeyError{Table: t.name, Key: row.pick(t.schema.Key)}
-				}
+			if _, dup := t.keySlot(h, row); dup {
+				return &KeyError{Table: t.name, Key: row.pick(t.schema.Key)}
 			}
-			t.pk[h] = append(t.pk[h], slot)
+			t.pk.add(h, slot)
 		}
 		t.rows[slot] = row
 		t.indexRow(slot, row)

@@ -181,10 +181,9 @@ func (d *Delta) Rows() int {
 
 // netEntry tracks the net disposition of one primary key during replay.
 type netEntry struct {
-	key         Row // representative row used for key comparison
-	preExisting bool
-	old         Row // image at From (valid when preExisting)
-	cur         Row // current image, nil when deleted
+	key Row // representative row used for key comparison
+	old Row // image at From, nil when the key did not exist then
+	cur Row // current image, nil when deleted
 }
 
 // DeltaSince folds the journal tail into a net per-key Delta. It fails
@@ -213,51 +212,40 @@ func (t *Table) DeltaSince(since uint64) (*Delta, error) {
 		return d, nil
 	}
 	key := t.schema.Key
-	buckets := make(map[uint64][]*netEntry)
-	var order []*netEntry
-	find := func(row Row) *netEntry {
-		for _, e := range buckets[hashRowOn(row, key)] {
-			if keyEqual(e.key, row, key) {
-				return e
-			}
+	var entries chain[uint64] // key hash -> index into order
+	var order []netEntry
+	// entry returns the entry of row's key. A key seen for the first time
+	// gets a new entry holding old, its image at From (nil for a key that
+	// did not exist then).
+	entry := func(row, old Row) *netEntry {
+		h := hashRowOn(row, key)
+		i, ok := entries.findOrAdd(h, int32(len(order)), func(i int32) bool { return keyEqual(order[i].key, row, key) })
+		if !ok {
+			order = append(order, netEntry{key: row, old: old})
 		}
-		return nil
-	}
-	track := func(e *netEntry) {
-		h := hashRowOn(e.key, key)
-		buckets[h] = append(buckets[h], e)
-		order = append(order, e)
+		return &order[i]
 	}
 	for _, ch := range cs.Changes {
 		switch ch.Kind {
 		case ChangeInsert:
-			if e := find(ch.New); e != nil {
-				e.cur = ch.New // delete-then-reinsert nets to an update
-			} else {
-				track(&netEntry{key: ch.New, cur: ch.New})
-			}
+			// A key seen before was deleted: delete-then-reinsert nets
+			// to an update.
+			entry(ch.New, nil).cur = ch.New
 		case ChangeUpdate:
-			if e := find(ch.New); e != nil {
-				e.cur = ch.New
-			} else {
-				track(&netEntry{key: ch.New, preExisting: true, old: ch.Old, cur: ch.New})
-			}
+			entry(ch.New, ch.Old).cur = ch.New
 		case ChangeDelete:
-			if e := find(ch.Old); e != nil {
-				e.cur = nil
-			} else {
-				track(&netEntry{key: ch.Old, preExisting: true, old: ch.Old})
-			}
+			entry(ch.Old, ch.Old).cur = nil
 		}
 	}
 	var ins, upd, del []Row
-	for _, e := range order {
+	for i := range order {
+		e := &order[i]
 		switch {
-		case !e.preExisting && e.cur != nil:
+		case e.old == nil && e.cur != nil:
 			ins = append(ins, e.cur)
-		case e.preExisting && e.cur == nil:
+		case e.old != nil && e.cur == nil:
 			del = append(del, e.old)
-		case e.preExisting && rowChanged(e.old, e.cur):
+		case e.old != nil && rowChanged(e.old, e.cur):
 			upd = append(upd, e.cur)
 		}
 	}

@@ -82,50 +82,30 @@ func (r *Relation) UnionDistinctPar(par int, keyCols []string, others ...*Relati
 
 	kept := make([][]hashedRow, numMorsels(total))
 	r.runMorsels(par, total, func(c, lo, hi int) {
-		local := make(map[uint64][]Row)
+		local := newChain[uint64](hi - lo) // key hash -> index into out
 		out := make([]hashedRow, 0, hi-lo)
 		for _, row := range all[lo:hi] {
 			h := hashRowOn(row, ordinals)
-			dup := false
-			for _, prev := range local[h] {
-				if keyEqual(prev, row, ordinals) {
-					dup = true
-					break
-				}
+			if _, dup := local.findOrAdd(h, int32(len(out)), func(i int32) bool { return keyEqual(out[i].row, row, ordinals) }); !dup {
+				out = append(out, hashedRow{row: row, h: h})
 			}
-			if dup {
-				continue
-			}
-			local[h] = append(local[h], row)
-			out = append(out, hashedRow{row: row, h: h})
 		}
 		kept[c] = out
 	})
 
 	// Global merge in morsel order: first occurrence wins, as in the
 	// sequential scan.
-	type bucket struct{ rows []Row }
-	seen := make(map[uint64]*bucket, len(r.rows))
-	var out []Row
+	survivors := 0
+	for _, morsel := range kept {
+		survivors += len(morsel)
+	}
+	seen := newChain[uint64](survivors) // key hash -> index into out
+	out := make([]Row, 0, survivors)
 	for _, morsel := range kept {
 		for _, hr := range morsel {
-			b := seen[hr.h]
-			if b == nil {
-				b = &bucket{}
-				seen[hr.h] = b
+			if _, dup := seen.findOrAdd(hr.h, int32(len(out)), func(i int32) bool { return keyEqual(out[i], hr.row, ordinals) }); !dup {
+				out = append(out, hr.row)
 			}
-			dup := false
-			for _, prev := range b.rows {
-				if keyEqual(prev, hr.row, ordinals) {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			b.rows = append(b.rows, hr.row)
-			out = append(out, hr.row)
 		}
 	}
 	return &Relation{schema: r.schema, rows: out, pool: r.pool}, nil

@@ -186,23 +186,14 @@ func (r *Relation) UnionDistinct(keyCols []string, others ...*Relation) (*Relati
 	if err != nil {
 		return nil, err
 	}
-	type bucket struct{ rows []Row }
-	seen := make(map[uint64]*bucket, r.Len())
+	seen := newChain[uint64](r.Len()) // key hash -> index into out
 	var out []Row
 	add := func(row Row) {
 		h := hashRowOn(row, ordinals)
-		b := seen[h]
-		if b == nil {
-			b = &bucket{}
-			seen[h] = b
+		// A duplicate key is dropped: the first occurrence wins.
+		if _, dup := seen.findOrAdd(h, int32(len(out)), func(i int32) bool { return keyEqual(out[i], row, ordinals) }); !dup {
+			out = append(out, row)
 		}
-		for _, prev := range b.rows {
-			if keyEqual(prev, row, ordinals) {
-				return // duplicate key: first occurrence wins
-			}
-		}
-		b.rows = append(b.rows, row)
-		out = append(out, row)
 	}
 	for _, row := range r.rows {
 		add(row)
@@ -281,23 +272,23 @@ func (r *Relation) Join(o *Relation, leftCol, rightCol, clashPrefix string) (*Re
 		return nil, err
 	}
 	li, ri := spec.li, spec.ri
-	// Build on the right side.
-	build := make(map[uint64][]Row, o.Len())
-	for _, row := range o.rows {
-		h := hashValue(row[ri])
-		build[h] = append(build[h], row)
+	// Build on the right side: key hash -> right row indices.
+	build := newChain[uint64](o.Len())
+	for i, row := range o.rows {
+		build.add(hashValue(row[ri]), int32(i))
 	}
 	var out []Row
+	var cands []int32
 	for _, lrow := range r.rows {
 		k := lrow[li]
 		if k.IsNull() {
 			continue
 		}
-		for _, rrow := range build[hashValue(k)] {
-			if !rrow[ri].Equal(k) {
-				continue
+		cands = build.appendIDs(cands[:0], hashValue(k))
+		for _, rc := range cands {
+			if rrow := o.rows[rc]; rrow[ri].Equal(k) {
+				out = append(out, spec.joinRow(lrow, rrow))
 			}
-			out = append(out, spec.joinRow(lrow, rrow))
 		}
 	}
 	return &Relation{schema: spec.schema, rows: out}, nil
@@ -540,23 +531,15 @@ func (r *Relation) GroupBy(groupCols []string, aggs []AggSpec) (*Relation, error
 	if err != nil {
 		return nil, err
 	}
-	groups := make(map[uint64][]*groupAcc)
+	var groups chain[uint64] // key hash -> index into order
 	var order []*groupAcc
 	for _, row := range r.rows {
 		h := hashRowOn(row, spec.gOrd)
-		var g *groupAcc
-		for _, cand := range groups[h] {
-			if keyMatches(row, spec.gOrd, cand.key) {
-				g = cand
-				break
-			}
+		gi, ok := groups.findOrAdd(h, int32(len(order)), func(i int32) bool { return keyMatches(row, spec.gOrd, order[i].key) })
+		if !ok {
+			order = append(order, spec.newAcc(row))
 		}
-		if g == nil {
-			g = spec.newAcc(row)
-			groups[h] = append(groups[h], g)
-			order = append(order, g)
-		}
-		spec.update(g, row)
+		spec.update(order[gi], row)
 	}
 	out := make([]Row, 0, len(order))
 	for _, g := range order {

@@ -39,16 +39,19 @@ type Trigger func(table *Table, old, new Row) error
 
 // Table is a mutable stored relation with a primary-key hash index,
 // optional secondary hash indexes and AFTER triggers. All methods are safe
-// for concurrent use.
+// for concurrent use. Both kinds of index are chains (chain.go) from a
+// hash to int32 slots, so a table holds fewer than 2^31 rows; a probe
+// hands its caller a fresh slice of the candidate slots in ascending
+// order (chooseLocked).
 type Table struct {
 	name   string
 	schema *Schema
 
 	mu       sync.RWMutex
 	rows     []Row
-	free     []int            // tombstoned slots available for reuse
-	pk       map[uint64][]int // hash of key tuple -> candidate slots
-	indexes  map[string]*hashIndex
+	free     []int32       // tombstoned slots available for reuse
+	pk       chain[uint64] // hash of key tuple -> candidate slots
+	indexes  []hashIndex   // looked up by name (index)
 	triggers map[TriggerEvent][]Trigger
 
 	// Change-data capture (journal.go): version counts every mutation;
@@ -73,10 +76,12 @@ type Table struct {
 	idxProbeCount atomic.Uint64
 }
 
-// hashIndex is a non-unique secondary hash index over one column.
+// hashIndex is a non-unique secondary hash index over one column: the
+// hash of the column's value -> the slots holding it.
 type hashIndex struct {
+	name    string // lower-cased column name
 	ordinal int
-	buckets map[uint64][]int
+	slots   chain[uint64]
 }
 
 // NewTable creates an empty table.
@@ -84,8 +89,6 @@ func NewTable(name string, schema *Schema) *Table {
 	return &Table{
 		name:         name,
 		schema:       schema,
-		pk:           make(map[uint64][]int),
-		indexes:      make(map[string]*hashIndex),
 		triggers:     make(map[TriggerEvent][]Trigger),
 		journalStart: 1,
 		journalLimit: DefaultJournalLimit,
@@ -107,15 +110,28 @@ func (t *Table) CreateIndex(col string) error {
 	if o < 0 {
 		return fmt.Errorf("relational: index: no column %q on %s", col, t.name)
 	}
-	idx := &hashIndex{ordinal: o, buckets: make(map[uint64][]int)}
+	idx := hashIndex{name: lower(col), ordinal: o}
 	for slot, row := range t.rows {
-		if row == nil {
-			continue
+		if row != nil {
+			idx.slots.add(hashValue(row[o]), int32(slot))
 		}
-		h := hashValues([]Value{row[o]})
-		idx.buckets[h] = append(idx.buckets[h], slot)
 	}
-	t.indexes[lower(col)] = idx
+	if prev := t.index(idx.name); prev != nil {
+		*prev = idx
+	} else {
+		t.indexes = append(t.indexes, idx)
+	}
+	return nil
+}
+
+// index returns the secondary index on the lower-cased column name, or
+// nil. Caller holds mu.
+func (t *Table) index(name string) *hashIndex {
+	for i := range t.indexes {
+		if t.indexes[i].name == name {
+			return &t.indexes[i]
+		}
+	}
 	return nil
 }
 
@@ -149,23 +165,10 @@ func (t *Table) Insert(row Row) error {
 	}
 	row = row.Clone()
 	t.mu.Lock()
-	if t.schema.HasKey() {
-		h := t.hashKey(row)
-		for _, slot := range t.pk[h] {
-			if ex := t.rows[slot]; ex != nil && keyEqual(ex, row, t.schema.Key) {
-				t.mu.Unlock()
-				return &KeyError{Table: t.name, Key: row.pick(t.schema.Key)}
-			}
-		}
-		slot := t.claimSlot(row)
-		t.pk[h] = append(t.pk[h], slot)
-		t.indexRow(slot, row)
-	} else {
-		slot := t.claimSlot(row)
-		t.indexRow(slot, row)
+	if err := t.insertLocked(row); err != nil {
+		t.mu.Unlock()
+		return err
 	}
-	t.inserts++
-	t.logChange(ChangeInsert, nil, row)
 	trs := t.triggers[OnInsert]
 	t.mu.Unlock()
 	for _, tr := range trs {
@@ -202,16 +205,21 @@ func (t *Table) InsertAll(r *Relation) error {
 	// them in place.
 	n := r.Len()
 	// Reserve the batch's storage up front so the load runs without
-	// per-row slice growth or hash-bucket splits: the row store, the PK
-	// index of an empty table (the mart-rebuild and staging pattern:
-	// truncate, then bulk load), and the change journal. slices.Grow
-	// reserves with append's geometric growth, so a load of many small
-	// batches copies each slice amortized O(1) times, not once per batch.
+	// per-row slice growth or hash-table splits: the row store, the PK
+	// and secondary indexes of a table's first load (a truncated table
+	// keeps the capacity its indexes grew to, so the mart-rebuild and
+	// staging pattern of truncate-then-bulk-load reuses it), and the
+	// change journal. slices.Grow reserves with append's geometric
+	// growth, so a load of many small batches copies each slice amortized
+	// O(1) times, not once per batch.
 	if need := n - len(t.free); need > 0 {
 		t.rows = slices.Grow(t.rows, need)
 	}
-	if t.schema.HasKey() && len(t.pk) == 0 && n > 0 {
-		t.pk = make(map[uint64][]int, n)
+	if t.schema.HasKey() {
+		t.pk.reserve(n)
+	}
+	for i := range t.indexes {
+		t.indexes[i].slots.reserve(n)
 	}
 	if reserve := min(n, t.journalLimit); reserve > 0 {
 		t.journal = slices.Grow(t.journal, reserve)
@@ -221,24 +229,47 @@ func (t *Table) InsertAll(r *Relation) error {
 		if err := t.schema.CheckRow(row); err != nil {
 			return fmt.Errorf("relational: insert into %s: %w", t.name, err)
 		}
-		if t.schema.HasKey() {
-			h := t.hashKey(row)
-			for _, slot := range t.pk[h] {
-				if ex := t.rows[slot]; ex != nil && keyEqual(ex, row, t.schema.Key) {
-					return &KeyError{Table: t.name, Key: row.pick(t.schema.Key)}
-				}
-			}
-			slot := t.claimSlot(row)
-			t.pk[h] = append(t.pk[h], slot)
-			t.indexRow(slot, row)
-		} else {
-			slot := t.claimSlot(row)
-			t.indexRow(slot, row)
+		if err := t.insertLocked(row); err != nil {
+			return err
 		}
-		t.inserts++
-		t.logChange(ChangeInsert, nil, row)
 	}
 	return nil
+}
+
+// insertLocked stores a checked row unless its primary key is taken.
+// Caller holds mu.
+func (t *Table) insertLocked(row Row) error {
+	var h uint64
+	if t.schema.HasKey() {
+		h = t.hashKey(row)
+		if _, dup := t.keySlot(h, row); dup {
+			return &KeyError{Table: t.name, Key: row.pick(t.schema.Key)}
+		}
+	}
+	t.fileLocked(h, row)
+	return nil
+}
+
+// fileLocked stores a row whose primary key (hashing to h) is free: it
+// claims a slot, files the slot in the PK and secondary indexes and
+// journals the insert. Caller holds mu.
+func (t *Table) fileLocked(h uint64, row Row) {
+	slot := t.claimSlot(row)
+	if t.schema.HasKey() {
+		t.pk.add(h, slot)
+	}
+	t.indexRow(slot, row)
+	t.inserts++
+	t.logChange(ChangeInsert, nil, row)
+}
+
+// keySlot returns the slot of the stored row whose primary key equals
+// row's; h is row's key hash. Caller holds mu.
+func (t *Table) keySlot(h uint64, row Row) (int32, bool) {
+	return t.pk.find(h, func(slot int32) bool {
+		ex := t.rows[slot]
+		return ex != nil && keyEqual(ex, row, t.schema.Key)
+	})
 }
 
 // Upsert inserts the row or, if a row with the same primary key exists,
@@ -254,29 +285,17 @@ func (t *Table) Upsert(row Row) error {
 	h := t.hashKey(row)
 	t.mu.Lock()
 	var old Row
-	updated := false
-	for _, slot := range t.pk[h] {
-		if ex := t.rows[slot]; ex != nil && keyEqual(ex, row, t.schema.Key) {
-			old = ex
-			t.unindexRow(slot, ex)
-			t.rows[slot] = row
-			t.indexRow(slot, row)
-			t.updates++
-			t.logChange(ChangeUpdate, ex, row)
-			updated = true
-			break
-		}
-	}
-	var trs []Trigger
-	if !updated {
-		slot := t.claimSlot(row)
-		t.pk[h] = append(t.pk[h], slot)
+	trs := t.triggers[OnInsert]
+	if slot, ok := t.keySlot(h, row); ok {
+		old = t.rows[slot]
+		t.unindexRow(slot, old)
+		t.rows[slot] = row
 		t.indexRow(slot, row)
-		t.inserts++
-		t.logChange(ChangeInsert, nil, row)
-		trs = t.triggers[OnInsert]
-	} else {
+		t.updates++
+		t.logChange(ChangeUpdate, old, row)
 		trs = t.triggers[OnUpdate]
+	} else {
+		t.fileLocked(h, row)
 	}
 	t.mu.Unlock()
 	for _, tr := range trs {
@@ -294,13 +313,14 @@ func (t *Table) Lookup(key ...Value) Row {
 	if !t.schema.HasKey() || len(key) != len(t.schema.Key) {
 		return nil
 	}
-	h := hashValues(key)
-	for _, slot := range t.pk[h] {
-		if ex := t.rows[slot]; ex != nil && keyMatches(ex, t.schema.Key, key) {
-			return ex
-		}
+	slot, ok := t.pk.find(hashValues(key), func(slot int32) bool {
+		ex := t.rows[slot]
+		return ex != nil && keyMatches(ex, t.schema.Key, key)
+	})
+	if !ok {
+		return nil
 	}
-	return nil
+	return t.rows[slot]
 }
 
 // Delete removes all rows matching the predicate and returns the count.
@@ -310,7 +330,7 @@ func (t *Table) Lookup(key ...Value) Row {
 func (t *Table) Delete(pred Predicate) (int, error) {
 	t.mu.Lock()
 	var removed []Row
-	del := func(slot int, row Row) error {
+	del := func(slot int32, row Row) error {
 		if row == nil {
 			return nil
 		}
@@ -331,7 +351,7 @@ func (t *Table) Delete(pred Predicate) (int, error) {
 	t.countPath(path)
 	if path.Kind == AccessScan {
 		for slot, row := range t.rows {
-			if err := del(slot, row); err != nil {
+			if err := del(int32(slot), row); err != nil {
 				t.mu.Unlock()
 				return 0, err
 			}
@@ -364,7 +384,7 @@ func (t *Table) Update(pred Predicate, fn func(Row) Row) (int, error) {
 	t.mu.Lock()
 	type change struct{ old, new Row }
 	var changes []change
-	upd := func(slot int, row Row) error {
+	upd := func(slot int32, row Row) error {
 		if row == nil {
 			return nil
 		}
@@ -391,7 +411,7 @@ func (t *Table) Update(pred Predicate, fn func(Row) Row) (int, error) {
 	t.countPath(path)
 	if path.Kind == AccessScan {
 		for slot, row := range t.rows {
-			if err := upd(slot, row); err != nil {
+			if err := upd(int32(slot), row); err != nil {
 				t.mu.Unlock()
 				return 0, err
 			}
@@ -418,7 +438,7 @@ func (t *Table) Update(pred Predicate, fn func(Row) Row) (int, error) {
 
 // Truncate removes all rows without firing triggers (DDL-style reset used
 // by the per-period uninitialization of the benchmark). The slot array and
-// hash-map buckets keep their capacity: the next period reloads a dataset
+// the index chains keep their capacity: the next period reloads a dataset
 // of roughly the same shape, so releasing them would just re-pay the growth
 // and rehashing cost every period.
 func (t *Table) Truncate() {
@@ -427,9 +447,9 @@ func (t *Table) Truncate() {
 	clear(t.rows)
 	t.rows = t.rows[:0]
 	t.free = t.free[:0]
-	clear(t.pk)
-	for _, idx := range t.indexes {
-		clear(idx.buckets)
+	t.pk.clear()
+	for i := range t.indexes {
+		t.indexes[i].slots.clear()
 	}
 	// The reset is one versioned change: stale watermarks must never
 	// numerically match the post-truncate version and silently read an
@@ -482,7 +502,7 @@ func (t *Table) scanLocked() *Relation {
 
 // SelectWhere scans with a predicate. Equality predicates on the primary
 // key or a CreateIndex'ed column (alone or as conjuncts of an AND) probe
-// the hash index and apply the full predicate only to the bucket's
+// the hash index and apply the full predicate only to the probe's
 // candidates; everything else falls back to the full scan. Explain reports
 // the choice without running it.
 func (t *Table) SelectWhere(pred Predicate) (*Relation, error) {
@@ -535,7 +555,7 @@ func (t *Table) countPath(path AccessPath) {
 }
 
 // claimSlot stores the row in a free slot or appends. Caller holds mu.
-func (t *Table) claimSlot(row Row) int {
+func (t *Table) claimSlot(row Row) int32 {
 	if n := len(t.free); n > 0 {
 		slot := t.free[n-1]
 		t.free = t.free[:n-1]
@@ -543,37 +563,29 @@ func (t *Table) claimSlot(row Row) int {
 		return slot
 	}
 	t.rows = append(t.rows, row)
-	return len(t.rows) - 1
+	return int32(len(t.rows) - 1)
 }
 
 // indexRow adds the row to all secondary indexes. Caller holds mu.
-func (t *Table) indexRow(slot int, row Row) {
-	for _, idx := range t.indexes {
-		h := hashValue(row[idx.ordinal])
-		idx.buckets[h] = append(idx.buckets[h], slot)
+func (t *Table) indexRow(slot int32, row Row) {
+	for i := range t.indexes {
+		idx := &t.indexes[i]
+		idx.slots.add(hashValue(row[idx.ordinal]), slot)
 	}
 }
 
 // unindexRow removes the slot from all secondary indexes. Caller holds mu.
-func (t *Table) unindexRow(slot int, row Row) {
-	for _, idx := range t.indexes {
-		h := hashValue(row[idx.ordinal])
-		idx.buckets[h] = removeSlot(idx.buckets[h], slot)
-		if len(idx.buckets[h]) == 0 {
-			delete(idx.buckets, h)
-		}
+func (t *Table) unindexRow(slot int32, row Row) {
+	for i := range t.indexes {
+		idx := &t.indexes[i]
+		idx.slots.remove(hashValue(row[idx.ordinal]), slot)
 	}
 }
 
 // unkeyRow removes the slot from the PK index. Caller holds mu.
-func (t *Table) unkeyRow(slot int, row Row) {
-	if !t.schema.HasKey() {
-		return
-	}
-	h := t.hashKey(row)
-	t.pk[h] = removeSlot(t.pk[h], slot)
-	if len(t.pk[h]) == 0 {
-		delete(t.pk, h)
+func (t *Table) unkeyRow(slot int32, row Row) {
+	if t.schema.HasKey() {
+		t.pk.remove(t.hashKey(row), slot)
 	}
 }
 
@@ -598,16 +610,6 @@ func keyMatches(row Row, ords []int, key []Value) bool {
 		}
 	}
 	return true
-}
-
-func removeSlot(slots []int, slot int) []int {
-	for i, s := range slots {
-		if s == slot {
-			slots[i] = slots[len(slots)-1]
-			return slots[:len(slots)-1]
-		}
-	}
-	return slots
 }
 
 // KeyError reports a primary-key violation.

@@ -140,12 +140,12 @@ func (r *Relation) HashJoinVec(par int, o *Relation, leftCol, rightCol, clashPre
 	// runtime type disagrees with the declared column type would change
 	// the row kernel's hashing — surrender to it instead of guessing.
 	useStr := lt == TypeString
-	var intTab map[int64][]int32
-	var strTab map[string][]int32
+	var intTab chain[int64]
+	var strTab chain[string]
 	if useStr {
-		strTab = make(map[string][]int32, len(o.rows))
+		strTab = newChain[string](len(o.rows))
 	} else {
-		intTab = make(map[int64][]int32, len(o.rows))
+		intTab = newChain[int64](len(o.rows))
 	}
 	for i, row := range o.rows {
 		v := row[ri]
@@ -157,9 +157,9 @@ func (r *Relation) HashJoinVec(par int, o *Relation, leftCol, rightCol, clashPre
 			return out, LayoutRow, err
 		}
 		if useStr {
-			strTab[v.s] = append(strTab[v.s], int32(i))
+			strTab.add(v.s, int32(i))
 		} else {
-			intTab[v.i] = append(intTab[v.i], int32(i))
+			intTab.add(v.i, int32(i))
 		}
 	}
 
@@ -181,9 +181,9 @@ func (r *Relation) HashJoinVec(par int, o *Relation, leftCol, rightCol, clashPre
 				return
 			}
 			if useStr {
-				total += len(strTab[k.s])
+				total += strTab.count(k.s)
 			} else {
-				total += len(intTab[k.i])
+				total += intTab.count(k.i)
 			}
 		}
 		counts[c] = total
@@ -205,16 +205,16 @@ func (r *Relation) HashJoinVec(par int, o *Relation, leftCol, rightCol, clashPre
 		arena := make([]Value, counts[c]*w)
 		out := make([]Row, 0, counts[c])
 		next := 0
+		var cands []int32
 		for _, lrow := range r.rows[lo:hi] {
 			k := lrow[li]
 			if k.typ == TypeNull {
 				continue
 			}
-			var cands []int32
 			if useStr {
-				cands = strTab[k.s]
+				cands = strTab.appendIDs(cands[:0], k.s)
 			} else {
-				cands = intTab[k.i]
+				cands = intTab.appendIDs(cands[:0], k.i)
 			}
 			for _, rc := range cands {
 				dst := arena[next : next+w : next+w]
@@ -593,25 +593,25 @@ func vecKeyRowsEqual(a, b Row, ords []int) bool {
 // vecLocalGroup is one group discovered within a morsel: its first
 // extended row (its key cells, which may live past the source schema),
 // the order-exact lanes' partial states, and — only when an
-// order-sensitive lane needs the phase-2 replay — its row indices,
-// ascending.
+// order-sensitive lane needs the phase-2 replay — the first and last of
+// its rows, linked in ascending order through the kernel's next array.
 type vecLocalGroup struct {
-	wide   Row
-	hash   uint64
-	rows   int64
-	states []vecAggState
-	idx    []int32
+	wide       Row
+	hash       uint64
+	rows       int64
+	states     []vecAggState
+	head, tail int32
 }
 
 // vecMergedGroup is a group after the cross-morsel merge: the exact
-// lanes' states merged in morsel order, and the per-morsel index lists —
-// kept in morsel order for global-row-order replay — only when an
-// order-sensitive lane exists.
+// lanes' states merged in morsel order and, only when an order-sensitive
+// lane exists, the ends of its row list — the local lists joined in
+// morsel order, so it runs in global row order for the replay.
 type vecMergedGroup struct {
-	wide   Row
-	rows   int64
-	states []vecAggState
-	idx    [][]int32
+	wide       Row
+	rows       int64
+	states     []vecAggState
+	head, tail int32
 }
 
 // GroupAggExtVec fuses ExtendMany with a grouped aggregation: each row
@@ -690,19 +690,20 @@ func (r *Relation) GroupAggExtVec(par int, cols []Column, fn ExtendFn, groupCols
 	// into its group's typed states as it is scanned, so the float-sum
 	// order is the scan order by construction. Only a group's first wide
 	// row is retained (one copy per group, for key emission and probe
-	// comparisons); group bookkeeping comes from chunked arenas so tiny
-	// groups do not cost two heap objects each.
+	// comparisons); group structs, states and first rows come from
+	// chunked arenas so tiny groups cost no heap objects of their own.
 	scratch := make(Row, w)
 	ext := func(row Row) Row {
 		copy(scratch, row)
 		fn(row, scratch[k:])
 		return scratch
 	}
-	groups := make(map[uint64][]*vecSeqGroup, n/4+16)
-	var order []*vecSeqGroup
+	groups := newChain[uint64](n/4 + 16) // key hash -> index into order
 	var (
-		garena []vecSeqGroup
-		sarena []vecAggState
+		order  []*vecSeqGroup
+		garena slab[vecSeqGroup]
+		sarena slab[vecAggState]
+		warena slab[Value]
 		pw     = len(plans)
 	)
 	for _, row := range r.rows {
@@ -711,28 +712,14 @@ func (r *Relation) GroupAggExtVec(par int, cols []Column, fn ExtendFn, groupCols
 			return rowFallback()
 		}
 		h := vecHashKey(wide, spec.gOrd)
-		var g *vecSeqGroup
-		for _, cand := range groups[h] {
-			if vecKeyRowsEqual(wide, cand.first, spec.gOrd) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			if len(garena) == 0 {
-				garena = make([]vecSeqGroup, 256)
-			}
-			g, garena = &garena[0], garena[1:]
-			if len(sarena) < pw {
-				sarena = make([]vecAggState, 256*pw)
-			}
-			g.first = append(Row(nil), wide...)
-			if pw > 0 {
-				g.states, sarena = sarena[:pw:pw], sarena[pw:]
-			}
-			groups[h] = append(groups[h], g)
+		gi, ok := groups.findOrAdd(h, int32(len(order)), func(i int32) bool { return vecKeyRowsEqual(wide, order[i].first, spec.gOrd) })
+		if !ok {
+			g := &garena.take(1)[0]
+			g.first = warena.clone(wide)
+			g.states = sarena.take(pw)
 			order = append(order, g)
 		}
+		g := order[gi]
 		g.rows++
 		for j := range plans {
 			p := &plans[j]
@@ -776,9 +763,20 @@ func (r *Relation) groupAggExtVecParallel(par int, spec *groupSpec, plans []vecA
 	nm := numMorsels(n)
 	locals := make([][]*vecLocalGroup, nm)
 	bad := make([]bool, nm)
+	// next links each row to the next row of its group (-1 ends a list).
+	// Morsels write disjoint ranges; the merge joins their lists.
+	var next []int32
+	if replay {
+		next = make([]int32, n)
+	}
 	r.runMorsels(par, n, func(c, lo, hi int) {
-		groups := make(map[uint64][]*vecLocalGroup, hi-lo)
-		var order []*vecLocalGroup
+		groups := newChain[uint64](hi - lo) // key hash -> index into order
+		var (
+			order  []*vecLocalGroup
+			garena slab[vecLocalGroup]
+			sarena slab[vecAggState]
+			warena slab[Value]
+		)
 		scratch := make(Row, w)
 		for i := lo; i < hi; i++ {
 			row := r.rows[i]
@@ -789,21 +787,22 @@ func (r *Relation) groupAggExtVecParallel(par int, spec *groupSpec, plans []vecA
 				return
 			}
 			h := vecHashKey(scratch, spec.gOrd)
-			var g *vecLocalGroup
-			for _, cand := range groups[h] {
-				if vecKeyRowsEqual(scratch, cand.wide, spec.gOrd) {
-					g = cand
-					break
-				}
-			}
-			if g == nil {
-				g = &vecLocalGroup{
-					wide:   append(Row(nil), scratch...),
-					hash:   h,
-					states: make([]vecAggState, len(plans)),
-				}
-				groups[h] = append(groups[h], g)
+			gi, ok := groups.findOrAdd(h, int32(len(order)), func(j int32) bool { return vecKeyRowsEqual(scratch, order[j].wide, spec.gOrd) })
+			if !ok {
+				g := &garena.take(1)[0]
+				g.wide = warena.clone(scratch)
+				g.hash = h
+				g.states = sarena.take(len(plans))
 				order = append(order, g)
+			}
+			g := order[gi]
+			if replay {
+				if g.rows == 0 {
+					g.head = int32(i)
+				} else {
+					next[g.tail] = int32(i)
+				}
+				g.tail, next[i] = int32(i), -1
 			}
 			g.rows++
 			for j := range plans {
@@ -816,9 +815,6 @@ func (r *Relation) groupAggExtVecParallel(par int, spec *groupSpec, plans []vecA
 					continue
 				}
 				g.states[j].fold(p.kind, v)
-			}
-			if replay {
-				g.idx = append(g.idx, int32(i))
 			}
 		}
 		locals[c] = order
@@ -837,30 +833,31 @@ func (r *Relation) groupAggExtVecParallel(par int, spec *groupSpec, plans []vecA
 	for _, l := range locals {
 		totalLocals += len(l)
 	}
-	mergedTab := make(map[uint64][]*vecMergedGroup, totalLocals)
-	var order []*vecMergedGroup
+	mergedTab := newChain[uint64](totalLocals) // key hash -> index into order
+	var (
+		order  []*vecMergedGroup
+		garena slab[vecMergedGroup]
+		sarena slab[vecAggState]
+	)
 	for _, local := range locals {
 		for _, lg := range local {
-			var g *vecMergedGroup
-			for _, cand := range mergedTab[lg.hash] {
-				if vecKeyRowsEqual(lg.wide, cand.wide, spec.gOrd) {
-					g = cand
-					break
-				}
-			}
-			if g == nil {
-				g = &vecMergedGroup{wide: lg.wide, states: make([]vecAggState, len(plans))}
-				mergedTab[lg.hash] = append(mergedTab[lg.hash], g)
+			gi, ok := mergedTab.findOrAdd(lg.hash, int32(len(order)), func(i int32) bool { return vecKeyRowsEqual(lg.wide, order[i].wide, spec.gOrd) })
+			if !ok {
+				g := &garena.take(1)[0]
+				g.wide = lg.wide
+				g.states = sarena.take(len(plans))
+				g.head = lg.head
 				order = append(order, g)
+			} else if replay {
+				next[order[gi].tail] = lg.head
 			}
+			g := order[gi]
+			g.tail = lg.tail
 			g.rows += lg.rows
 			for j := range plans {
 				if exact[j] {
 					g.states[j].merge(plans[j].kind, &lg.states[j])
 				}
-			}
-			if replay {
-				g.idx = append(g.idx, lg.idx)
 			}
 		}
 	}
@@ -869,27 +866,29 @@ func (r *Relation) groupAggExtVecParallel(par int, spec *groupSpec, plans []vecA
 	ow := len(spec.out.Columns)
 	backing := make([]Value, len(order)*ow)
 	out := make([]Row, len(order))
+	var scratches []Value // one replay scratch row per group
+	if replay {
+		scratches = make([]Value, len(order)*w)
+	}
 	r.runTasks(par, len(order), func(gi int) {
 		g := order[gi]
 		states := g.states
 		if replay {
-			scratch := make(Row, w)
-			for _, idx := range g.idx {
-				for _, ri := range idx {
-					row := r.rows[ri]
-					copy(scratch, row)
-					fn(row, scratch[k:])
-					for j := range plans {
-						p := &plans[j]
-						if p.ord < 0 || exact[j] {
-							continue
-						}
-						v := scratch[p.ord]
-						if v.typ == TypeNull {
-							continue
-						}
-						states[j].fold(p.kind, v)
+			scratch := scratches[gi*w : gi*w+w : gi*w+w]
+			for ri := g.head; ri >= 0; ri = next[ri] {
+				row := r.rows[ri]
+				copy(scratch, row)
+				fn(row, scratch[k:])
+				for j := range plans {
+					p := &plans[j]
+					if p.ord < 0 || exact[j] {
+						continue
 					}
+					v := scratch[p.ord]
+					if v.typ == TypeNull {
+						continue
+					}
+					states[j].fold(p.kind, v)
 				}
 			}
 		}
@@ -901,6 +900,38 @@ func (r *Relation) groupAggExtVecParallel(par int, spec *groupSpec, plans []vecA
 		out[gi] = dst
 	})
 	return &Relation{schema: spec.out, rows: out}, true
+}
+
+// slab carves short slices from shared chunks, so the many small
+// per-group objects of the grouping kernels — group structs, their states
+// and their retained rows — cost one heap object per chunk instead of one
+// each. Chunks hold 8 slices at first and double up to 256, so a kernel
+// that finds few groups does not reserve room for many. A carved slice
+// keeps its whole chunk alive.
+type slab[T any] struct {
+	free  []T
+	chunk int // slices per chunk
+}
+
+// take returns n zeroed elements (nil for n == 0).
+func (s *slab[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(s.free) < n {
+		s.chunk = min(max(2*s.chunk, 8), 256)
+		s.free = make([]T, s.chunk*n)
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// clone returns a copy of src carved from the slab.
+func (s *slab[T]) clone(src []T) []T {
+	out := s.take(len(src))
+	copy(out, src)
+	return out
 }
 
 // vecSeqGroup is one group of the fused sequential fold: the first row
