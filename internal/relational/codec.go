@@ -175,7 +175,7 @@ func appendValue(b []byte, v Value) []byte {
 	case TypeInt, TypeBool, TypeTime:
 		b = binary.AppendVarint(b, v.i)
 	case TypeFloat:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.f))
+		b = binary.LittleEndian.AppendUint64(b, uint64(v.i))
 	case TypeString:
 		b = appendString(b, v.s)
 	}
@@ -262,7 +262,7 @@ func (d *snapDecoder) value() Value {
 		}
 		f := math.Float64frombits(binary.LittleEndian.Uint64(d.b[:8]))
 		d.b = d.b[8:]
-		return Value{typ: TypeFloat, f: f}
+		return NewFloat(f)
 	case TypeString:
 		return Value{typ: TypeString, s: d.str()}
 	default:

@@ -92,7 +92,7 @@ func (v *ColVec) load(rows []Row, ord int, t Type) {
 		}
 		for i, row := range rows {
 			if cell := row[ord]; cell.typ != TypeNull {
-				v.floats[i] = cell.f
+				v.floats[i] = cell.f()
 				v.valid[i>>6] |= 1 << (uint(i) & 63)
 			}
 		}
@@ -120,7 +120,7 @@ func (v *ColVec) value(i int) Value {
 	case intBacked(v.typ):
 		return Value{typ: v.typ, i: v.ints[i]}
 	case v.typ == TypeFloat:
-		return Value{typ: TypeFloat, f: v.floats[i]}
+		return NewFloat(v.floats[i])
 	default:
 		return Value{typ: TypeString, s: v.strs[i]}
 	}

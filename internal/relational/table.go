@@ -329,7 +329,10 @@ func (t *Table) Lookup(key ...Value) Row {
 // scanning (see Explain).
 func (t *Table) Delete(pred Predicate) (int, error) {
 	t.mu.Lock()
+	// Removed rows are kept only for the AFTER DELETE triggers.
+	trs := t.triggers[OnDelete]
 	var removed []Row
+	n := 0
 	del := func(slot int32, row Row) error {
 		if row == nil {
 			return nil
@@ -344,7 +347,10 @@ func (t *Table) Delete(pred Predicate) (int, error) {
 		t.free = append(t.free, slot)
 		t.deletes++
 		t.logChange(ChangeDelete, row, nil)
-		removed = append(removed, row)
+		n++
+		if len(trs) > 0 {
+			removed = append(removed, row)
+		}
 		return nil
 	}
 	path, slots := t.chooseLocked(pred)
@@ -364,16 +370,15 @@ func (t *Table) Delete(pred Predicate) (int, error) {
 			}
 		}
 	}
-	trs := t.triggers[OnDelete]
 	t.mu.Unlock()
 	for _, row := range removed {
 		for _, tr := range trs {
 			if err := tr(t, row, nil); err != nil {
-				return len(removed), fmt.Errorf("relational: AFTER DELETE trigger on %s: %w", t.name, err)
+				return n, fmt.Errorf("relational: AFTER DELETE trigger on %s: %w", t.name, err)
 			}
 		}
 	}
-	return len(removed), nil
+	return n, nil
 }
 
 // Update rewrites every row matching the predicate through fn and returns

@@ -3,6 +3,7 @@ package relational
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -209,6 +210,53 @@ func TestDeleteTriggerFires(t *testing.T) {
 	_, _ = tbl.Delete(True())
 	if len(deleted) != 1 || deleted[0] != 1 {
 		t.Errorf("delete trigger fired = %v", deleted)
+	}
+}
+
+func TestDeleteTriggerGetsEveryRowInSlotOrder(t *testing.T) {
+	const n = 4096
+	tbl := NewTable("T", allocRows(n).Schema())
+	if err := tbl.CreateIndex("S"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.InsertAll(allocRows(n)); err != nil {
+		t.Fatal(err)
+	}
+	// Free low slots and refill them with high keys, so slot order is not
+	// key order.
+	low := PredicateFunc("K<100", func(_ *Schema, r Row) (bool, error) { return r[0].Int() < 100, nil })
+	if _, err := tbl.Delete(low); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(n); k < n+100; k++ {
+		if err := tbl.Insert(Row{NewInt(k), NewInt(k), NewString(sOf(k))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fired []int64
+	tbl.AddTrigger(OnDelete, func(_ *Table, old, new Row) error {
+		if new != nil {
+			t.Error("delete trigger got a new row")
+		}
+		fired = append(fired, old[0].Int())
+		return nil
+	})
+	even := PredicateFunc("K%2=0", func(_ *Schema, r Row) (bool, error) { return r[0].Int()%2 == 0, nil })
+	for _, pred := range []Predicate{even, ColEq("S", NewString(sOf(1)))} {
+		var want []int64
+		for _, row := range tbl.Scan().Rows() {
+			if ok, _ := pred.Eval(tbl.Schema(), row); ok {
+				want = append(want, row[0].Int())
+			}
+		}
+		fired = fired[:0]
+		got, err := tbl.Delete(pred)
+		if err != nil || got != len(want) {
+			t.Fatalf("Delete(%s): %d rows, %v; want %d", pred, got, err, len(want))
+		}
+		if !slices.Equal(fired, want) {
+			t.Errorf("Delete(%s): trigger saw %d keys, want %d in slot order", pred, len(fired), len(want))
+		}
 	}
 }
 

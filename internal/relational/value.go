@@ -73,11 +73,22 @@ func ParseTypeName(name string) (Type, error) {
 
 // Value is a dynamically typed scalar cell. The zero Value is NULL.
 // Values are immutable; all operations return new Values.
+//
+// A Value is 32 bytes: the type tag, one payload word and a string
+// header. The word holds the integer of TypeInt, 0 or 1 for TypeBool,
+// unix nanoseconds for TypeTime and math.Float64bits for TypeFloat; the
+// string header is set for TypeString only.
+//
+// Values are not comparable with ==: the zero-size first field makes
+// any such comparison, or a map keyed by Value, a compile error. With a
+// float held as bits, == would find NaN equal to NaN and -0 unequal to
+// +0; Compare and Equal are the comparisons to use. The field stays
+// first because a trailing zero-size field is padded.
 type Value struct {
+	_   [0]func()
 	typ Type
-	i   int64   // TypeInt, TypeBool (0/1), TypeTime (unix nanos)
-	f   float64 // TypeFloat
-	s   string  // TypeString
+	i   int64  // payload word; see above
+	s   string // TypeString
 }
 
 // Null is the NULL value.
@@ -87,7 +98,7 @@ var Null = Value{}
 func NewInt(v int64) Value { return Value{typ: TypeInt, i: v} }
 
 // NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{typ: TypeFloat, f: v} }
+func NewFloat(v float64) Value { return Value{typ: TypeFloat, i: int64(math.Float64bits(v))} }
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{typ: TypeString, s: v} }
@@ -122,13 +133,16 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.typ {
 	case TypeFloat:
-		return v.f
+		return v.f()
 	case TypeInt:
 		return float64(v.i)
 	default:
 		panic(fmt.Sprintf("relational: Float() on %s value", v.typ))
 	}
 }
+
+// f reads the float payload of a TypeFloat value.
+func (v Value) f() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Str returns the string payload. It panics unless the type is TypeString.
 func (v Value) Str() string {
@@ -162,7 +176,7 @@ func (v Value) String() string {
 	case TypeInt:
 		return strconv.FormatInt(v.i, 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case TypeString:
 		return v.s
 	case TypeBool:
@@ -284,10 +298,8 @@ func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 func (v Value) hash(h *fnv64) {
 	h.writeByte(byte(v.typ))
 	switch v.typ {
-	case TypeInt, TypeBool, TypeTime:
+	case TypeInt, TypeFloat, TypeBool, TypeTime:
 		h.writeUint64(uint64(v.i))
-	case TypeFloat:
-		h.writeUint64(math.Float64bits(v.f))
 	case TypeString:
 		h.writeString(v.s)
 	}

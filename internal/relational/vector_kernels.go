@@ -353,7 +353,7 @@ func (st *vecAggState) fold(kind vecAggKind, v Value) {
 		st.isum += v.i
 		st.fsum += float64(v.i)
 	case vaSumFloat, vaAvgFloat:
-		st.fsum += v.f
+		st.fsum += v.f()
 	case vaMinInt:
 		if !st.has || v.i < st.ival {
 			st.ival, st.has = v.i, true
@@ -365,12 +365,12 @@ func (st *vecAggState) fold(kind vecAggKind, v Value) {
 	case vaMinFloat:
 		// Strict Compare(v, cur) < 0: NaN never displaces and is never
 		// displaced — same as aggAcc.
-		if !st.has || v.f < st.fval {
-			st.fval, st.has = v.f, true
+		if f := v.f(); !st.has || f < st.fval {
+			st.fval, st.has = f, true
 		}
 	case vaMaxFloat:
-		if !st.has || v.f > st.fval {
-			st.fval, st.has = v.f, true
+		if f := v.f(); !st.has || f > st.fval {
+			st.fval, st.has = f, true
 		}
 	case vaMinStr:
 		if !st.has || v.s < st.sval {
@@ -460,11 +460,11 @@ func vecEmitAggs(dst []Value, plans []vecAggPlan, states []vecAggState, rowCount
 			}
 		case vaSumFloat:
 			if st.count > 0 {
-				v = Value{typ: TypeFloat, f: st.fsum}
+				v = NewFloat(st.fsum)
 			}
 		case vaAvgInt, vaAvgFloat:
 			if st.count > 0 {
-				v = Value{typ: TypeFloat, f: st.fsum / float64(st.count)}
+				v = NewFloat(st.fsum / float64(st.count))
 			}
 		case vaMinInt, vaMaxInt:
 			if st.has {
@@ -472,7 +472,7 @@ func vecEmitAggs(dst []Value, plans []vecAggPlan, states []vecAggState, rowCount
 			}
 		case vaMinFloat, vaMaxFloat:
 			if st.has {
-				v = Value{typ: TypeFloat, f: st.fval}
+				v = NewFloat(st.fval)
 			}
 		case vaMinStr, vaMaxStr:
 			if st.has {
@@ -520,7 +520,7 @@ func vecCheckRow(row Row, checks []vecLaneCheck) bool {
 		if cell.typ != ch.typ {
 			return false
 		}
-		if ch.finite && cell.f-cell.f != 0 {
+		if ch.finite && cell.f()-cell.f() != 0 {
 			return false
 		}
 	}
