@@ -466,7 +466,7 @@ func BenchmarkE1MessagePath(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := eng.Execute("P08", g.HongkongOrder(i), 0); err != nil {
+				if err := eng.Execute("P08", g.AppendHongkongOrder(nil, i), 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -88,6 +88,7 @@ type msgPools struct {
 	viennaCust, hongkongCust, sanDiegoCust, beijingCust []int64
 	europeProd, asiaProd, americaProd                   []int64
 	europeCities, hongkong, sanDiego                    []schema.CityRow
+	berlinParis, trondheim, beijing                     []schema.CityRow
 }
 
 // New creates a Generator; the Config must validate.
@@ -112,6 +113,9 @@ func New(cfg Config) (*Generator, error) {
 		europeCities: schema.CitiesInRegion(schema.RegionEurope),
 		hongkong:     []schema.CityRow{*schema.CityByName("Hongkong")},
 		sanDiego:     []schema.CityRow{*schema.CityByName("San Diego")},
+		berlinParis:  []schema.CityRow{*schema.CityByName(schema.LocBerlin), *schema.CityByName(schema.LocParis)},
+		trondheim:    []schema.CityRow{*schema.CityByName("Trondheim")},
+		beijing:      []schema.CityRow{*schema.CityByName("Beijing")},
 	}
 	return g, nil
 }

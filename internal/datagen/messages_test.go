@@ -1,10 +1,12 @@
 package datagen
 
 import (
+	"bytes"
 	"strconv"
 	"testing"
 
 	"repro/internal/schema"
+	x "repro/internal/xmlmsg"
 )
 
 func TestViennaOrderValidAndDeterministic(t *testing.T) {
@@ -117,5 +119,68 @@ func TestBeijingCustomerMsgValid(t *testing.T) {
 	}
 	if m.PathText("Cust_Name") == "" {
 		t.Error("master data exchange should carry clean names")
+	}
+}
+
+// e1Builders are the byte builders of the E1 message kinds.
+func e1Builders(g *Generator) map[string]func(dst []byte, i int) []byte {
+	return map[string]func([]byte, int) []byte{
+		"P01": g.AppendBeijingCustomerMsg,
+		"P02": g.AppendMDMCustomer,
+		"P04": g.AppendViennaOrder,
+		"P08": g.AppendHongkongOrder,
+		"P10": func(dst []byte, i int) []byte {
+			b, _ := g.AppendSanDiegoOrder(dst, i)
+			return b
+		},
+	}
+}
+
+// TestE1ByteBuildersCanonical checks that every builder writes exactly
+// what AppendXML writes for the parsed message, so the message-triggered
+// path reads it in one pass, and that a builder appends to dst.
+func TestE1ByteBuildersCanonical(t *testing.T) {
+	for _, seed := range []uint64{42, 7} {
+		g := MustNew(Config{Seed: seed, Datasize: 0.05, Dist: Skewed})
+		for kind, build := range e1Builders(g) {
+			for i := 0; i < 200; i++ {
+				b := build(nil, i)
+				doc, err := x.ParseBytes(b)
+				if err != nil {
+					t.Fatalf("%s %d: %v", kind, i, err)
+				}
+				if canon := doc.AppendXML(nil); !bytes.Equal(b, canon) {
+					t.Fatalf("%s %d not canonical:\n%s\n%s", kind, i, b, canon)
+				}
+				if got := build([]byte("<>"), i); !bytes.Equal(got[2:], b) {
+					t.Fatalf("%s %d: appended %q", kind, i, got)
+				}
+			}
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
+// TestE1ByteBuildersAllocBudget holds each builder, writing into a
+// reused buffer, to the entity it derives: the order lines of an order,
+// or the name, address and phone of a customer.
+func TestE1ByteBuildersAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are stated for builds without the race detector")
+	}
+	g := MustNew(Config{Seed: 42, Datasize: 1, Dist: Uniform})
+	budget := map[string]float64{"P01": 5, "P02": 5, "P04": 1, "P08": 1, "P10": 1}
+	buf := make([]byte, 0, 8<<10)
+	for kind, build := range e1Builders(g) {
+		i := 0
+		n := testing.AllocsPerRun(100, func() {
+			buf = build(buf[:0], i)
+			i++
+		})
+		if n > budget[kind] {
+			t.Errorf("%s: %.1f allocations per message, budget %.0f", kind, n, budget[kind])
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/scenario"
 	"repro/internal/schedule"
-	x "repro/internal/xmlmsg"
 )
 
 // Config parameterizes a benchmark run.
@@ -453,7 +452,8 @@ func (c *Client) runPeriod(ctx context.Context, k int, prep prepared, rp resumeP
 		if c.cfg.Log != nil {
 			noteLogErr(c.cfg.Log.Dispatched(k, in.Stream, in.Process, in.Seq, digest))
 		}
-		msg, ok, genErr := c.messageFor(gen, in.Process, in.Seq)
+		buf := msgBufs.Get().(*[]byte)
+		msg, ok, genErr := c.messageFor(gen, (*buf)[:0], in.Process, in.Seq)
 		if genErr == nil && !ok && isE1(in.Process) {
 			genErr = fmt.Errorf("no message generator for %s", in.Process)
 		}
@@ -474,6 +474,10 @@ func (c *Client) runPeriod(ctx context.Context, k int, prep prepared, rp resumeP
 				}
 			}
 		}
+		if cap(msg) > cap(*buf) {
+			*buf = msg[:0]
+		}
+		msgBufs.Put(buf)
 		shard := c.eng.ShardOf(in.Process)
 		mu.Lock()
 		executed++
@@ -615,29 +619,37 @@ func isE1(id string) bool {
 	}
 }
 
-// messageFor generates the E1 input message of an instance. ok reports
-// whether the process type has a message generator at all; err reports a
-// generator fault, which the dispatcher records as an instance failure
-// instead of handing the engine a nil message.
-func (c *Client) messageFor(gen *datagen.Generator, process string, seq int) (msg *x.Node, ok bool, err error) {
+// msgBufs recycles the buffers E1 messages are generated into: the engine
+// reads a message only while ExecuteContext runs, and the dead-letter
+// queue keeps a copy.
+var msgBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 2048)
+	return &b
+}}
+
+// messageFor appends the serialized E1 input message of an instance to
+// dst. ok reports whether the process type has a message generator at
+// all; err reports a generator fault, which the dispatcher records as an
+// instance failure instead of handing the engine an empty message.
+func (c *Client) messageFor(gen *datagen.Generator, dst []byte, process string, seq int) (msg []byte, ok bool, err error) {
 	switch process {
 	case "P01":
-		return gen.BeijingCustomerMsg(seq), true, nil
+		return gen.AppendBeijingCustomerMsg(dst, seq), true, nil
 	case "P02":
-		return gen.MDMCustomer(seq), true, nil
+		return gen.AppendMDMCustomer(dst, seq), true, nil
 	case "P04":
-		return gen.ViennaOrder(seq), true, nil
+		return gen.AppendViennaOrder(dst, seq), true, nil
 	case "P08":
-		return gen.HongkongOrder(seq), true, nil
+		return gen.AppendHongkongOrder(dst, seq), true, nil
 	case "P10":
 		// The second return flags an intentionally injected schema
 		// violation (P10's validation diverts those instances); it is not a
 		// generator fault. A missing document is.
-		doc, _ := gen.SanDiegoOrder(seq)
-		if doc == nil {
+		msg, _ := gen.AppendSanDiegoOrder(dst, seq)
+		if len(msg) == 0 {
 			return nil, true, fmt.Errorf("driver: San Diego generator produced no message for seq %d", seq)
 		}
-		return doc, true, nil
+		return msg, true, nil
 	default:
 		return nil, false, nil
 	}

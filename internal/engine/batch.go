@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/mtm"
-	x "repro/internal/xmlmsg"
 )
 
 // Micro-batching: the execution style of ETL tools (the paper's §VII
@@ -19,7 +18,7 @@ import (
 
 // batchRequest is one queued message awaiting its batch.
 type batchRequest struct {
-	input  *x.Node
+	input  []byte
 	period int
 	done   chan error
 }
@@ -41,7 +40,7 @@ func newBatcher(e *Engine, p *mtm.Process) *batcher {
 }
 
 // submit queues a message and blocks until its batch has been processed.
-func (b *batcher) submit(input *x.Node, period int) error {
+func (b *batcher) submit(input []byte, period int) error {
 	done := make(chan error, 1)
 	b.mu.Lock()
 	if b.closed {
@@ -89,7 +88,7 @@ func (b *batcher) timedFlush() {
 // must not cancel its batch-mates — so instances run under Background.
 func (b *batcher) flush(batch []batchRequest) {
 	for _, req := range batch {
-		err := b.e.runInstanceRecorded(context.Background(), b.process, mtm.XMLMessage(req.input), req.period)
+		err := b.e.runInstanceRecorded(context.Background(), b.process, mtm.RawXMLMessage(req.input), req.period)
 		req.done <- err
 	}
 }

@@ -51,7 +51,7 @@ func TestBatchFlushOnSize(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = e.Execute("P08", f.g.HongkongOrder(i), 0)
+			errs[i] = e.Execute("P08", f.g.AppendHongkongOrder(nil, i), 0)
 		}(i)
 	}
 	wg.Wait()
@@ -86,7 +86,7 @@ func TestBatchFlushOnTimeout(t *testing.T) {
 	// A single message must not hang: the timeout flushes the partial
 	// batch.
 	done := make(chan error, 1)
-	go func() { done <- e.Execute("P08", f.g.HongkongOrder(0), 0) }()
+	go func() { done <- e.Execute("P08", f.g.AppendHongkongOrder(nil, 0), 0) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -105,7 +105,7 @@ func TestBatchCloseDrainsAndRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- e.Execute("P08", f.g.HongkongOrder(0), 0) }()
+	go func() { done <- e.Execute("P08", f.g.AppendHongkongOrder(nil, 0), 0) }()
 	time.Sleep(20 * time.Millisecond) // let the message enter the batch
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestBatchCloseDrainsAndRejects(t *testing.T) {
 		t.Fatal("close did not drain the batch")
 	}
 	// Further submissions fail.
-	if err := e.Execute("P08", f.g.HongkongOrder(1), 0); err == nil {
+	if err := e.Execute("P08", f.g.AppendHongkongOrder(nil, 1), 0); err == nil {
 		t.Fatal("submission after close accepted")
 	}
 	// Close is idempotent.
@@ -140,7 +140,7 @@ func TestResetQueuesDrainsPartialBatch(t *testing.T) {
 	// A lone message of period 0 sits in a partial batch (the timeout is
 	// far away); the period boundary must push it out.
 	done := make(chan error, 1)
-	go func() { done <- e.Execute("P08", f.g.HongkongOrder(0), 0) }()
+	go func() { done <- e.Execute("P08", f.g.AppendHongkongOrder(nil, 0), 0) }()
 	time.Sleep(20 * time.Millisecond) // let the message enter the batch
 	e.ResetQueues()
 	select {
@@ -156,7 +156,7 @@ func TestResetQueuesDrainsPartialBatch(t *testing.T) {
 		t.Fatalf("record under wrong period: %+v", recs)
 	}
 	// The batcher stays usable for the next period.
-	go func() { done <- e.Execute("P08", f.g.HongkongOrder(1), 1) }()
+	go func() { done <- e.Execute("P08", f.g.AppendHongkongOrder(nil, 1), 1) }()
 	time.Sleep(20 * time.Millisecond)
 	e.ResetQueues()
 	if err := <-done; err != nil {
@@ -182,7 +182,7 @@ func TestBatchingRecordsPerInstanceCosts(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_ = e.Execute("P08", f.g.HongkongOrder(i), 0)
+			_ = e.Execute("P08", f.g.AppendHongkongOrder(nil, i), 0)
 		}(i)
 	}
 	wg.Wait()

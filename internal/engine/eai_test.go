@@ -59,7 +59,7 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 		}
 		// The engine semaphore is inside Execute; measure by timing
 		// instead: issue the call and release the counter afterwards.
-		if err := e.Execute("P08", f.g.HongkongOrder(i), 0); err != nil {
+		if err := e.Execute("P08", f.g.AppendHongkongOrder(nil, i), 0); err != nil {
 			t.Error(err)
 		}
 		atomic.AddInt64(&active, -1)
@@ -139,7 +139,7 @@ func TestEAIEngineFullStreamEquivalence(t *testing.T) {
 		}
 	}
 	// E1 through the EAI store-and-forward path.
-	if err := e.Execute("P08", f.g.HongkongOrder(0), 0); err != nil {
+	if err := e.Execute("P08", f.g.AppendHongkongOrder(nil, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	if e.QueueDepth() == 0 {

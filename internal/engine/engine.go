@@ -41,7 +41,6 @@ import (
 	"repro/internal/processes"
 	rel "repro/internal/relational"
 	"repro/internal/sched"
-	x "repro/internal/xmlmsg"
 )
 
 // Options selects the engine's execution strategy; the ablation benchmarks
@@ -358,15 +357,12 @@ func (e *Engine) recordLayout(op string, l rel.Layout) {
 // AddDeadLetter parks an E1 message that exhausted its dispatch retries.
 // The queue is capped at the policy's DLQLimit (default 1024); beyond it
 // entries are counted but dropped.
-func (e *Engine) AddDeadLetter(process string, period int, msg *x.Node, err error) {
+func (e *Engine) AddDeadLetter(process string, period int, msg []byte, err error) {
 	limit := 1024
 	if e.opts.Resilience != nil && e.opts.Resilience.DLQLimit > 0 {
 		limit = e.opts.Resilience.DLQLimit
 	}
-	var text string
-	if msg != nil {
-		text = string(msg.AppendXML(nil))
-	}
+	text := string(msg)
 	e.dlqMu.Lock()
 	if len(e.dlq) >= limit {
 		e.dlqDropped++
@@ -560,34 +556,28 @@ func (e *Engine) setupQueues() error {
 				pe := v.(pendingExec)
 				rec, ctx = pe.rec, pe.ctx
 			}
-			// The trigger evaluates the logical "inserted" row: re-parse
-			// the queued message — genuine per-message XML overhead of
-			// this architecture — and execute the process.
-			parseStart := time.Now()
-			doc, err := x.ParseString(new[1].Str())
-			if rec != nil {
-				rec.Record(mtm.CostProc, time.Since(parseStart))
-			}
-			if err != nil {
-				return fmt.Errorf("engine: queued message: %w", err)
-			}
-			return e.runInstance(ctx, p, mtm.XMLMessage(doc), rec)
+			// The trigger evaluates the logical "inserted" row: the queued
+			// text — read back out of the SQL layer, genuine per-message
+			// overhead of this architecture — becomes the process's
+			// serialized input message.
+			return e.runInstance(ctx, p, mtm.RawXMLMessage([]byte(new[1].Str())), rec)
 		})
 	}
 	return nil
 }
 
 // Execute runs one instance of the process type synchronously, recording
-// its costs under the given benchmark period. input is the E1 message
-// (nil for E2 processes).
-func (e *Engine) Execute(processID string, input *x.Node, period int) error {
+// its costs under the given benchmark period. input is the serialized E1
+// message (nil for E2 processes); the engine reads it during the call
+// only, so the caller may reuse the buffer once Execute returns.
+func (e *Engine) Execute(processID string, input []byte, period int) error {
 	return e.ExecuteContext(context.Background(), processID, input, period)
 }
 
 // ExecuteContext is Execute under a caller-supplied context; cancelling
 // it aborts the instance's external calls (the resilience layer layers
 // its per-invoke deadline on top).
-func (e *Engine) ExecuteContext(ctx context.Context, processID string, input *x.Node, period int) error {
+func (e *Engine) ExecuteContext(ctx context.Context, processID string, input []byte, period int) error {
 	if sc := e.shards; sc != nil {
 		if handled, err := sc.route(ctx, processID, input, period); handled {
 			return err
@@ -602,7 +592,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, processID string, input *x.
 	}
 	defer e.releaseWorker()
 	if p.Event == mtm.E1 {
-		if input == nil {
+		if len(input) == 0 {
 			return fmt.Errorf("engine: process %s requires an input message", processID)
 		}
 		if e.opts.QueueTrigger {
@@ -611,9 +601,9 @@ func (e *Engine) ExecuteContext(ctx context.Context, processID string, input *x.
 		if e.opts.BatchSize > 1 {
 			return e.batcherFor(p).submit(input, period)
 		}
-		return e.runInstanceRetried(ctx, p, mtm.XMLMessage(input), period)
+		return e.runInstanceRetried(ctx, p, mtm.RawXMLMessage(input), period)
 	}
-	if input != nil {
+	if len(input) > 0 {
 		return fmt.Errorf("engine: process %s is time-scheduled and takes no message", processID)
 	}
 	// Time-scheduled instances get the same re-issue budget as
@@ -652,11 +642,11 @@ var sqlBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// executeViaQueue realizes the Fig. 9 a) path: serialize the message,
-// INSERT it into the process's queue table through the SQL layer, and let
+// executeViaQueue realizes the Fig. 9 a) path: INSERT the serialized
+// message into the process's queue table through the SQL layer, and let
 // the insert trigger run the process. The INSERT statement is assembled on
 // a pooled buffer.
-func (e *Engine) executeViaQueue(ctx context.Context, p *mtm.Process, input *x.Node, period int) error {
+func (e *Engine) executeViaQueue(ctx context.Context, p *mtm.Process, input []byte, period int) error {
 	rec := e.mon.StartInstanceShard(p.ID, period, e.shardID)
 	e.instances.Add(1)
 	serStart := time.Now()
@@ -680,25 +670,19 @@ func (e *Engine) executeViaQueue(ctx context.Context, p *mtm.Process, input *x.N
 	return err
 }
 
-// appendSQLQuoted serializes the message onto dst with SQL string-literal
+// appendSQLQuoted appends the message onto dst with SQL string-literal
 // quoting (” for '). Serialized XML escapes apostrophes as &#39;, so the
 // doubling pass is almost always a straight copy.
-func appendSQLQuoted(dst []byte, input *x.Node) []byte {
-	xp := sqlBufPool.Get().(*[]byte)
-	payload := input.AppendXML((*xp)[:0])
+func appendSQLQuoted(dst, payload []byte) []byte {
 	for {
 		i := bytes.IndexByte(payload, '\'')
 		if i < 0 {
-			dst = append(dst, payload...)
-			break
+			return append(dst, payload...)
 		}
 		dst = append(dst, payload[:i]...)
 		dst = append(dst, '\'', '\'')
 		payload = payload[i+1:]
 	}
-	*xp = (*xp)[:0]
-	sqlBufPool.Put(xp)
-	return dst
 }
 
 // runInstanceRecorded wraps runInstance with a fresh monitor record.

@@ -70,7 +70,7 @@ func TestFederatedE1QueueTrigger(t *testing.T) {
 	f := newFixture(t)
 	e := f.federated(t)
 	msg := f.g.HongkongOrder(0)
-	if err := e.Execute("P08", msg, 0); err != nil {
+	if err := e.Execute("P08", msg.AppendXML(nil), 0); err != nil {
 		t.Fatal(err)
 	}
 	// The message is queued...
@@ -109,7 +109,7 @@ func TestExecuteArgumentValidation(t *testing.T) {
 	if err := e.Execute("P08", nil, 0); err == nil {
 		t.Error("E1 without message accepted")
 	}
-	if err := e.Execute("P03", f.g.HongkongOrder(0), 0); err == nil {
+	if err := e.Execute("P03", f.g.AppendHongkongOrder(nil, 0), 0); err == nil {
 		t.Error("E2 with message accepted")
 	}
 }
@@ -177,7 +177,7 @@ func TestBothEnginesProduceIdenticalResults(t *testing.T) {
 			}
 		}
 		for i := 0; i < 5; i++ {
-			if err := e.Execute("P04", f.g.ViennaOrder(i), 0); err != nil {
+			if err := e.Execute("P04", f.g.AppendViennaOrder(nil, i), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -222,7 +222,7 @@ func TestQueueSurvivesQuotesInPayload(t *testing.T) {
 	e := f.federated(t)
 	msg := f.g.MDMCustomer(0)
 	msg.Child("Customer").Child("Name").Text = "O'Brien & Söhne"
-	if err := e.Execute("P02", msg, 0); err != nil {
+	if err := e.Execute("P02", msg.AppendXML(nil), 0); err != nil {
 		t.Fatal(err)
 	}
 	key, _ := strconv.ParseInt(msg.Child("Customer").Attr("custkey"), 10, 64)
@@ -243,7 +243,7 @@ func TestE1FailureRecordedAsFailedInstance(t *testing.T) {
 	// P10 handles it. But a Vienna message with garbage must fail.
 	msg := f.g.ViennaOrder(0)
 	msg.Child("Head").Child("CustRef").Text = "garbage"
-	if err := e.Execute("P04", msg, 0); err == nil {
+	if err := e.Execute("P04", msg.AppendXML(nil), 0); err == nil {
 		t.Fatal("broken message accepted")
 	}
 	recs := f.mon.Records()
@@ -256,10 +256,8 @@ func TestP10BrokenMessageIsHandledNotFailed(t *testing.T) {
 	f := newFixture(t)
 	e := f.federated(t)
 	var broken bool
-	var doc = func() (d *struct{}, _ bool) { return nil, false }
-	_ = doc
 	for i := 0; i < 40; i++ {
-		m, b := f.g.SanDiegoOrder(i)
+		m, b := f.g.AppendSanDiegoOrder(nil, i)
 		if b {
 			broken = true
 		}
@@ -306,7 +304,7 @@ func TestConcurrentE1Submissions(t *testing.T) {
 	done := make(chan error, 10)
 	for i := 0; i < 10; i++ {
 		go func(i int) {
-			done <- e.Execute("P08", f.g.HongkongOrder(i), 0)
+			done <- e.Execute("P08", f.g.AppendHongkongOrder(nil, i), 0)
 		}(i)
 	}
 	for i := 0; i < 10; i++ {

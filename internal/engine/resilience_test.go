@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -22,7 +21,7 @@ func TestSetResilienceWrapsGateway(t *testing.T) {
 		t.Fatalf("effective policy not stored back: %+v", pol)
 	}
 	// The wrapped gateway still executes processes end to end.
-	if err := e.Execute("P08", f.g.HongkongOrder(0), 0); err != nil {
+	if err := e.Execute("P08", f.g.AppendHongkongOrder(nil, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	if retries, trips := e.Resilient().Stats(); retries != 0 || trips != 0 {
@@ -35,7 +34,7 @@ func TestDeadLetterQueueCap(t *testing.T) {
 	e := f.federated(t)
 	e.SetResilience(&fault.Policy{DLQLimit: 2}, nil)
 	cause := errors.New("dispatch exhausted")
-	msg := f.g.HongkongOrder(0)
+	msg := f.g.AppendHongkongOrder(nil, 0)
 	for i := 0; i < 3; i++ {
 		e.AddDeadLetter("P08", i, msg, cause)
 	}
@@ -50,7 +49,7 @@ func TestDeadLetterQueueCap(t *testing.T) {
 		t.Errorf("entry = %+v", letters[0])
 	}
 	// The triggering message is preserved as XML for replay/inspection.
-	if !strings.Contains(letters[0].Message, "<") {
+	if letters[0].Message != string(msg) {
 		t.Errorf("message not serialized: %q", letters[0].Message)
 	}
 	// A nil message (non-E1 failure) is tolerated.

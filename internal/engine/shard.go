@@ -10,7 +10,6 @@ import (
 	"repro/internal/processes"
 	rel "repro/internal/relational"
 	"repro/internal/schema"
-	x "repro/internal/xmlmsg"
 )
 
 // shardController realizes engine.Options.Shards: the parent engine keeps
@@ -173,7 +172,7 @@ func (e *Engine) shardEngines() []*Engine {
 // route dispatches a process execution under sharding. handled is false
 // when the process is not shard-managed and the parent should execute it
 // on the regular path.
-func (sc *shardController) route(ctx context.Context, processID string, input *x.Node, period int) (handled bool, err error) {
+func (sc *shardController) route(ctx context.Context, processID string, input []byte, period int) (handled bool, err error) {
 	if region, ok := processes.RegionOfProcess(processID); ok {
 		return true, sc.children[sc.owner[region]].ExecuteContext(ctx, processID, input, period)
 	}

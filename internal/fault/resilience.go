@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/datagen"
 	rel "repro/internal/relational"
-	x "repro/internal/xmlmsg"
 )
 
 // Policy configures the consuming-side resilience layer: how the engine's
@@ -269,7 +268,7 @@ type external interface {
 	Delete(ctx context.Context, system, table string, pred rel.Predicate) (int, error)
 	Update(ctx context.Context, system, table string, pred rel.Predicate, set map[string]rel.Value) (int, error)
 	Call(ctx context.Context, system, proc string, args ...rel.Value) (*rel.Relation, error)
-	Send(ctx context.Context, system string, doc *x.Node) error
+	Send(ctx context.Context, system string, msg []byte) error
 }
 
 // deltaSource mirrors mtm.DeltaSource (see external above): the optional
@@ -521,9 +520,9 @@ func (r *Resilient) Call(ctx context.Context, system, proc string, args ...rel.V
 }
 
 // Send implements mtm.External.
-func (r *Resilient) Send(ctx context.Context, system string, doc *x.Node) error {
+func (r *Resilient) Send(ctx context.Context, system string, msg []byte) error {
 	return r.do(ctx, system, func(ctx context.Context) error {
-		return r.inner.Send(ctx, system, doc)
+		return r.inner.Send(ctx, system, msg)
 	})
 }
 

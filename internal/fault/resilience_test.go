@@ -8,7 +8,6 @@ import (
 	"time"
 
 	rel "repro/internal/relational"
-	x "repro/internal/xmlmsg"
 )
 
 // fakeExt is a scriptable external gateway: fail decides the outcome of
@@ -61,7 +60,7 @@ func (f *fakeExt) Update(ctx context.Context, system, table string, pred rel.Pre
 func (f *fakeExt) Call(ctx context.Context, system, proc string, args ...rel.Value) (*rel.Relation, error) {
 	return nil, f.attempt(system)
 }
-func (f *fakeExt) Send(ctx context.Context, system string, doc *x.Node) error {
+func (f *fakeExt) Send(ctx context.Context, system string, msg []byte) error {
 	return f.attempt(system)
 }
 
@@ -374,7 +373,7 @@ func TestInvokeTimeout(t *testing.T) {
 // blockingFake blocks every call until the per-invoke context expires.
 type blockingFake struct{ *fakeExt }
 
-func (b *blockingFake) Send(ctx context.Context, system string, doc *x.Node) error {
+func (b *blockingFake) Send(ctx context.Context, system string, msg []byte) error {
 	<-ctx.Done()
 	return ctx.Err()
 }

@@ -84,7 +84,7 @@ func TestFaultStreamGolden(t *testing.T) {
 		{"ws query", func(ctx context.Context) error { _, err := wsc.QueryContext(ctx, "Customers"); return err }},
 		{"ws update rs", func(ctx context.Context) error { return wsc.UpdateRelationContext(ctx, "Customers", customers) }},
 		{"ws update msg", func(ctx context.Context) error {
-			return wsc.UpdateContext(ctx, x.New("BJCustomer", x.NewText("Cust_ID", "7")))
+			return wsc.UpdateContext(ctx, x.New("BJCustomer", x.NewText("Cust_ID", "7")).AppendXML(nil))
 		}},
 		{"db query", func(ctx context.Context) error {
 			_, err := dbc.QueryContext(ctx, "Orders", rel.ColEq("Status", rel.NewString("OPEN")))

@@ -77,9 +77,9 @@ type External interface {
 	Update(ctx context.Context, system, table string, pred rel.Predicate, set map[string]rel.Value) (int, error)
 	// Call invokes a stored procedure.
 	Call(ctx context.Context, system, proc string, args ...rel.Value) (*rel.Relation, error)
-	// Send delivers an entity XML message to a system (web-service update
-	// operation, P01).
-	Send(ctx context.Context, system string, doc *x.Node) error
+	// Send delivers a serialized entity XML message to a system
+	// (web-service update operation, P01).
+	Send(ctx context.Context, system string, msg []byte) error
 }
 
 // DeltaSource is the optional extension of External that serves net
@@ -249,6 +249,26 @@ func (c *Context) Doc(name string) (*x.Node, error) {
 		return nil, err
 	}
 	return m.RequireDoc(name)
+}
+
+// XML returns the serialized XML payload of a variable. A variable bound
+// to a tree is serialized once: the binding is replaced by a message that
+// carries both forms, so later readers get the same bytes.
+func (c *Context) XML(name string) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := c.vars[name]
+	switch {
+	case m == nil:
+		return nil, fmt.Errorf("mtm: variable %q is not bound", name)
+	case len(m.XML) > 0:
+		return m.XML, nil
+	case m.Doc == nil:
+		return nil, fmt.Errorf("mtm: variable %q does not hold an XML document", name)
+	}
+	b := m.Doc.AppendXML(nil)
+	c.vars[name] = &Message{Doc: m.Doc, XML: b, Data: m.Data, Delta: m.Delta}
+	return b, nil
 }
 
 // Data returns the relational payload of a variable.

@@ -7,6 +7,12 @@
 // datasets. Executing a process records its costs in the three categories
 // of the benchmark's cost model: communication (Cc), internal management
 // (Cm) and processing (Cp).
+//
+// XML messages flow as bytes: RECEIVE binds the serialized E1 message,
+// VALIDATE walks its tokens, TRANSLATE streams it, and INVOKE sends or
+// fetches bytes. Context.XML reads a variable's bytes (serializing a
+// tree-bound one once); Context.Doc parses a tree only for callers that
+// ask for one.
 package mtm
 
 import (
@@ -21,9 +27,11 @@ import (
 type Message struct {
 	// Doc is the XML payload, nil for pure datasets.
 	Doc *x.Node
-	// XML is an XML payload still in serialized form, set instead of Doc:
-	// a result set extracted from a web service stays bytes through
-	// TRANSLATE and CONVERT, and Context.Doc parses it only on request.
+	// XML is the XML payload in serialized form. An E1 message and a
+	// result set extracted from a web service arrive as bytes and stay
+	// bytes through VALIDATE, TRANSLATE and CONVERT; Context.Doc parses
+	// them only on request. When Doc is set too, both hold the same
+	// document (see Context.XML).
 	XML []byte
 	// Data is the relational payload, nil for pure XML messages.
 	Data *rel.Relation

@@ -17,7 +17,7 @@ import (
 type fakeExternal struct {
 	mu    sync.Mutex
 	dbs   map[string]*rel.Database
-	sent  []*x.Node
+	sent  [][]byte
 	calls []string
 }
 
@@ -110,10 +110,10 @@ func (f *fakeExternal) Call(_ context.Context, system, proc string, args ...rel.
 	return db.Call(proc, args...)
 }
 
-func (f *fakeExternal) Send(_ context.Context, system string, doc *x.Node) error {
+func (f *fakeExternal) Send(_ context.Context, system string, msg []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.sent = append(f.sent, doc)
+	f.sent = append(f.sent, msg)
 	return nil
 }
 
@@ -288,8 +288,42 @@ func TestInvokeCallAndSend(t *testing.T) {
 	if err := (Invoke{Service: "anything", Operation: OpSend, In: "doc"}).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if len(ext.sent) != 1 {
-		t.Fatal("send")
+	if len(ext.sent) != 1 || string(ext.sent[0]) != "<Msg></Msg>" {
+		t.Fatalf("send: %q", ext.sent)
+	}
+	// A serialized message is sent as it is.
+	ctx.Set("raw", RawXMLMessage([]byte("<Raw><A>1</A></Raw>")))
+	if err := (Invoke{Service: "anything", Operation: OpSend, In: "raw"}).Execute(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(ext.sent) != 2 || string(ext.sent[1]) != "<Raw><A>1</A></Raw>" {
+		t.Fatalf("send: %q", ext.sent)
+	}
+}
+
+// TestContextXMLSerializesTreeOnce checks that the bytes accessor
+// serializes a tree-bound variable once and keeps the tree beside them.
+func TestContextXMLSerializesTreeOnce(t *testing.T) {
+	ctx := NewContext(nil, nil, nil)
+	doc := x.New("Root", x.NewText("N", "1"))
+	ctx.Set("m", XMLMessage(doc))
+	b1, err := ctx.XML("m")
+	if err != nil || string(b1) != "<Root><N>1</N></Root>" {
+		t.Fatalf("XML: %q %v", b1, err)
+	}
+	b2, _ := ctx.XML("m")
+	if &b1[0] != &b2[0] {
+		t.Fatal("tree serialized twice")
+	}
+	if got, _ := ctx.Doc("m"); got != doc {
+		t.Fatal("tree lost after serialization")
+	}
+	if _, err := ctx.XML("unbound"); err == nil {
+		t.Fatal("unbound variable")
+	}
+	ctx.Set("d", DataMessage(rel.MustRelation(rel.MustSchema([]rel.Column{rel.Col("A", rel.TypeInt)}), nil)))
+	if _, err := ctx.XML("d"); err == nil {
+		t.Fatal("dataset variable has no XML")
 	}
 }
 
@@ -513,6 +547,40 @@ func TestValidateBranching(t *testing.T) {
 	report, err := ctx.Doc("errs")
 	if err != nil || len(report.Children) == 0 {
 		t.Fatalf("error report: %v %v", report, err)
+	}
+
+	// Serialized messages branch the same way; one that does not parse
+	// fails the operator with the parse error.
+	ctx.Set("m", RawXMLMessage([]byte("<Root><N>2</N></Root>")))
+	if err := v.Execute(ctx); err != nil || path != "valid" {
+		t.Fatalf("raw valid: %v %s", err, path)
+	}
+	ctx.Set("m", RawXMLMessage([]byte("<Root><N>2</M></Root>")))
+	if err := v.Execute(ctx); err == nil {
+		t.Fatal("malformed message validated")
+	}
+}
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
+// TestValidateOperatorAllocBudget holds VALIDATE on a valid serialized
+// message to the walk's string copy: no tree, no report, no branch
+// allocation beyond it.
+func TestValidateOperatorAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are stated for builds without the race detector")
+	}
+	xsd := x.NewSchema("S", x.Elem("Root", x.Leaf("N", x.DTInt),
+		x.Elem("L", x.Leaf("V", x.DTDecimal)).Optional().Repeated()).WithAttrs("id"))
+	ctx := NewContext(nil, nil, nil)
+	ctx.Set("m", RawXMLMessage([]byte(`<Root id="7"><N>1</N><L><V>1.5</V></L><L><V>2</V></L></Root>`)))
+	v := Validate{In: "m", Schema: xsd, ErrorsTo: "errs"}
+	if err := v.Execute(ctx); err != nil || ctx.Get("errs") != nil {
+		t.Fatalf("valid message: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = v.Execute(ctx) }); n > 2 {
+		t.Fatalf("VALIDATE: %.1f allocations on a valid message, budget 2", n)
 	}
 }
 

@@ -204,11 +204,11 @@ func (o Invoke) Execute(ctx *Context) error {
 			ctx.Set(o.Out, DataMessage(r))
 		}
 	case OpSend:
-		doc, err := ctx.Doc(o.In)
+		msg, err := ctx.XML(o.In)
 		if err != nil {
 			return err
 		}
-		if err := ctx.Ext.Send(ectx, o.Service, doc); err != nil {
+		if err := ctx.Ext.Send(ectx, o.Service, msg); err != nil {
 			return invokeErr(o, err)
 		}
 	default:
@@ -579,7 +579,9 @@ func (o Switch) Execute(ctx *Context) error {
 }
 
 // Validate checks an XML variable against an XSD-lite schema and branches
-// — the VALIDATE operator of P10/P12/P13. Exactly one branch runs.
+// — the VALIDATE operator of P10/P12/P13. Exactly one branch runs. The
+// check walks the serialized message (Schema.ValidateXML); only the
+// violation report of an invalid message is a tree.
 type Validate struct {
 	In      string
 	Schema  *x.Schema
@@ -600,11 +602,14 @@ func (Validate) composite() bool { return true }
 
 // Execute implements Operator.
 func (o Validate) Execute(ctx *Context) error {
-	doc, err := ctx.Doc(o.In)
+	msg, err := ctx.XML(o.In)
 	if err != nil {
 		return err
 	}
-	errs := o.Schema.Validate(doc)
+	errs, err := o.Schema.ValidateXML(msg)
+	if err != nil {
+		return err
+	}
 	if len(errs) == 0 {
 		return runOps(o.Valid, ctx)
 	}

@@ -31,11 +31,11 @@ func newP02() *mtm.Process {
 	// assignCustomer converts the translated message into a one-row
 	// Europe customer dataset and remembers the routing key.
 	assignCustomer := mtm.Assign{To: "msg3", Fn: func(ctx *mtm.Context) (*mtm.Message, error) {
-		doc, err := ctx.Doc("msg2")
+		msg, err := ctx.XML("msg2")
 		if err != nil {
 			return nil, err
 		}
-		row, _, err := EuropeCustomerRowFromMsg(doc)
+		row, _, err := EuropeCustomerRowFromXML(msg)
 		if err != nil {
 			return nil, err
 		}

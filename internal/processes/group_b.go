@@ -1,14 +1,12 @@
 package processes
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/mtm"
 	rel "repro/internal/relational"
 	"repro/internal/schema"
 	"repro/internal/stx"
-	x "repro/internal/xmlmsg"
 )
 
 // Group B: data consolidation into the global consolidated database.
@@ -19,11 +17,11 @@ import (
 // translated to the canonical CDB order form, and loaded.
 func newP04() *mtm.Process {
 	custRef := func(ctx *mtm.Context) (int64, error) {
-		doc, err := ctx.Doc("msg1")
+		msg, err := ctx.XML("msg1")
 		if err != nil {
 			return 0, err
 		}
-		return strconv.ParseInt(doc.PathText("Head/CustRef"), 10, 64)
+		return viennaCustRef(msg)
 	}
 	queryCustomer := func(service string) mtm.Operator {
 		return mtm.Invoke{Service: service, Operation: mtm.OpQuery, Table: "Customer",
@@ -36,10 +34,10 @@ func newP04() *mtm.Process {
 				return rel.ColEq("Custkey", rel.NewInt(ref)), nil
 			}}
 	}
-	// translate builds the canonical CDB order message from the Vienna
+	// translate writes the canonical CDB order message from the Vienna
 	// message plus the enrichment dataset.
 	translate := mtm.Custom{Name: "TRANSLATE", Cat: mtm.CostProc, Fn: func(ctx *mtm.Context) error {
-		doc, err := ctx.Doc("msg1")
+		msg, err := ctx.XML("msg1")
 		if err != nil {
 			return err
 		}
@@ -51,39 +49,11 @@ func newP04() *mtm.Process {
 		if enrich.Len() > 0 {
 			cityKey = enrich.Get(0, "Citykey").Int()
 		}
-		head := doc.Child("Head")
-		if head == nil {
-			return fmt.Errorf("P04: Vienna message without Head")
-		}
-		prio, err := strconv.ParseInt(head.PathText("Priority"), 10, 64)
+		out, err := appendViennaToCDB(nil, msg, cityKey)
 		if err != nil {
-			return fmt.Errorf("P04: priority: %w", err)
+			return err
 		}
-		status, ok := schema.EuropeOrderStates[head.PathText("State")]
-		if !ok {
-			return fmt.Errorf("P04: unknown state %q", head.PathText("State"))
-		}
-		out := x.New("CDBOrder",
-			x.NewText("Ordkey", doc.Attr("id")),
-			x.NewText("Custkey", head.PathText("CustRef")),
-			x.NewText("Citykey", fmt.Sprint(cityKey)),
-			x.NewText("Orderdate", head.PathText("OrderDate")),
-			x.NewText("Status", status),
-			x.NewText("Priority", schema.EuropePrioToText(prio)),
-			x.NewText("Totalprice", head.PathText("Total")),
-		)
-		lines := x.New("Lines")
-		if ln := doc.Child("Lines"); ln != nil {
-			for _, line := range ln.ChildrenNamed("Line") {
-				lines.Add(x.New("Line",
-					x.NewText("Prodkey", line.PathText("ProdRef")),
-					x.NewText("Quantity", line.PathText("Qty")),
-					x.NewText("Extendedprice", line.PathText("Price")),
-				).SetAttr("pos", line.Attr("pos")))
-			}
-		}
-		out.Add(lines)
-		ctx.Set("msg3", mtm.XMLMessage(out))
+		ctx.Set("msg3", mtm.RawXMLMessage(out))
 		return nil
 	}}
 	ops := []mtm.Operator{
@@ -113,11 +83,11 @@ func newP04() *mtm.Process {
 func loadCDBOrderOps(docVar string, cityKey int64, src string) []mtm.Operator {
 	return []mtm.Operator{
 		mtm.Custom{Name: "ASSIGN", Cat: mtm.CostProc, Fn: func(ctx *mtm.Context) error {
-			doc, err := ctx.Doc(docVar)
+			msg, err := ctx.XML(docVar)
 			if err != nil {
 				return err
 			}
-			orders, lines, err := CDBOrderFromDoc(doc, cityKey, src)
+			orders, lines, err := CDBOrderFromXML(msg, cityKey, src)
 			if err != nil {
 				return err
 			}
@@ -323,7 +293,7 @@ func newP09() *mtm.Process {
 func newP10() *mtm.Process {
 	insertFailed := []mtm.Operator{
 		mtm.Custom{Name: "ASSIGN", Cat: mtm.CostProc, Fn: func(ctx *mtm.Context) error {
-			doc, err := ctx.Doc("msg1")
+			msg, err := ctx.XML("msg1")
 			if err != nil {
 				return err
 			}
@@ -331,15 +301,15 @@ func newP10() *mtm.Process {
 			if rep := ctx.Get("errs"); rep != nil && rep.Doc != nil && len(rep.Doc.Children) > 0 {
 				reason = rep.Doc.Children[0].Text
 			}
-			failID, err := strconv.ParseInt(doc.PathText("OrderNo"), 10, 64)
+			failID, payload, err := sanDiegoFailed(msg)
 			if err != nil {
-				return fmt.Errorf("P10: failed message without order number: %w", err)
+				return err
 			}
 			r, err := rel.NewRelation(schema.CDBFailedMessages, []rel.Row{{
 				rel.NewInt(failID),
 				rel.NewString(schema.SysSanDiego),
 				rel.NewString(reason),
-				rel.NewString(doc.String()),
+				rel.NewString(payload),
 			}})
 			if err != nil {
 				return err
@@ -353,17 +323,22 @@ func newP10() *mtm.Process {
 	valid := []mtm.Operator{
 		mtm.Translate{In: "msg1", Out: "msg2", Sheet: SheetSanDiegoToCDB},
 		mtm.Custom{Name: "ASSIGN", Cat: mtm.CostProc, Fn: func(ctx *mtm.Context) error {
-			doc, err := ctx.Doc("msg2")
+			msg, err := ctx.XML("msg2")
 			if err != nil {
 				return err
 			}
+			m, err := cdbOrderShape.scan(msg)
+			if err != nil {
+				return err
+			}
+			defer scans.Put(m)
 			// San Diego messages carry no location; assign the customer's
 			// deterministic US city.
-			custkey, err := strconv.ParseInt(doc.PathText("Custkey"), 10, 64)
+			custkey, err := strconv.ParseInt(m.fields[cdbCustkey], 10, 64)
 			if err != nil {
 				return err
 			}
-			orders, lines, err := CDBOrderFromDoc(doc, USCityKey(custkey), schema.SysSanDiego)
+			orders, lines, err := cdbOrderRows(m, USCityKey(custkey), schema.SysSanDiego)
 			if err != nil {
 				return err
 			}

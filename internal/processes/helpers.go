@@ -2,12 +2,9 @@ package processes
 
 import (
 	"fmt"
-	"strconv"
-	"time"
 
 	rel "repro/internal/relational"
 	"repro/internal/schema"
-	x "repro/internal/xmlmsg"
 )
 
 // Schema-mapping helpers. These are pure functions so the verification
@@ -18,9 +15,11 @@ import (
 // The TPC-H schema carries no city attribute, so the consolidation has to
 // synthesize the location linkage of the warehouse fact table.
 func USCityKey(custkey int64) int64 {
-	us := schema.CitiesInRegion(schema.RegionAmerica)
-	return us[int(custkey%int64(len(us)))].Key
+	return usCities[int(custkey%int64(len(usCities)))].Key
 }
+
+// usCities are the American cities USCityKey assigns, in catalog order.
+var usCities = schema.CitiesInRegion(schema.RegionAmerica)
 
 // cityNames resolves a catalog city key to (city, nation, region) names.
 func cityNames(cityKey int64) (string, string, string) {
@@ -244,105 +243,6 @@ func AsiaItemsToCDB(r *rel.Relation, src string) (*rel.Relation, error) {
 		rows[i] = rel.Row{row[ko], row[kp], row[kr], row[kq], row[ke], rel.NewString(src)}
 	}
 	return rel.NewRelation(schema.CDBOrderline, rows)
-}
-
-// CDBOrderFromDoc parses a canonical CDBOrder XML message (the output of
-// the P04/P08/P10 translations) into one CDB orders row and its orderline
-// rows. cityKey overrides the order's location when >= 0 (enrichment).
-func CDBOrderFromDoc(doc *x.Node, cityKey int64, src string) (*rel.Relation, *rel.Relation, error) {
-	if doc == nil || doc.Name != "CDBOrder" {
-		return nil, nil, fmt.Errorf("processes: expected CDBOrder document")
-	}
-	text := func(el string) string { return doc.PathText(el) }
-	ordkey, err := strconv.ParseInt(text("Ordkey"), 10, 64)
-	if err != nil {
-		return nil, nil, fmt.Errorf("processes: CDBOrder Ordkey: %w", err)
-	}
-	custkey, err := strconv.ParseInt(text("Custkey"), 10, 64)
-	if err != nil {
-		return nil, nil, fmt.Errorf("processes: CDBOrder Custkey: %w", err)
-	}
-	date, err := time.Parse(time.RFC3339, text("Orderdate"))
-	if err != nil {
-		return nil, nil, fmt.Errorf("processes: CDBOrder Orderdate: %w", err)
-	}
-	total, err := strconv.ParseFloat(text("Totalprice"), 64)
-	if err != nil {
-		return nil, nil, fmt.Errorf("processes: CDBOrder Totalprice: %w", err)
-	}
-	if cityKey < 0 {
-		ck, err := strconv.ParseInt(text("Citykey"), 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("processes: CDBOrder Citykey: %w", err)
-		}
-		cityKey = ck
-	}
-	orders, err := rel.NewRelation(schema.CDBOrders, []rel.Row{{
-		rel.NewInt(ordkey), rel.NewInt(custkey), rel.NewInt(cityKey),
-		rel.NewTime(date), rel.NewString(text("Status")),
-		rel.NewString(text("Priority")), rel.NewFloat(total), rel.NewString(src),
-	}})
-	if err != nil {
-		return nil, nil, err
-	}
-	var lineRows []rel.Row
-	if lines := doc.Child("Lines"); lines != nil {
-		for _, line := range lines.ChildrenNamed("Line") {
-			pos, err := strconv.ParseInt(line.Attr("pos"), 10, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("processes: CDBOrder line pos: %w", err)
-			}
-			prod, err := strconv.ParseInt(line.PathText("Prodkey"), 10, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("processes: CDBOrder Prodkey: %w", err)
-			}
-			qty, err := strconv.ParseInt(line.PathText("Quantity"), 10, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("processes: CDBOrder Quantity: %w", err)
-			}
-			price, err := strconv.ParseFloat(line.PathText("Extendedprice"), 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("processes: CDBOrder Extendedprice: %w", err)
-			}
-			lineRows = append(lineRows, rel.Row{
-				rel.NewInt(ordkey), rel.NewInt(pos), rel.NewInt(prod),
-				rel.NewInt(qty), rel.NewFloat(price), rel.NewString(src),
-			})
-		}
-	}
-	lines, err := rel.NewRelation(schema.CDBOrderline, lineRows)
-	if err != nil {
-		return nil, nil, err
-	}
-	return orders, lines, nil
-}
-
-// EuropeCustomerRowFromMsg converts the translated P02 EUCustomer message
-// into one Europe-schema customer row for the routed upsert.
-func EuropeCustomerRowFromMsg(doc *x.Node) (rel.Row, int64, error) {
-	if doc == nil || doc.Name != "EUCustomer" {
-		return nil, 0, fmt.Errorf("processes: expected EUCustomer document")
-	}
-	custkey, err := strconv.ParseInt(doc.Attr("custkey"), 10, 64)
-	if err != nil {
-		return nil, 0, fmt.Errorf("processes: EUCustomer custkey: %w", err)
-	}
-	cityName := doc.PathText("City")
-	city := schema.CityByName(cityName)
-	if city == nil {
-		return nil, 0, fmt.Errorf("processes: EUCustomer unknown city %q", cityName)
-	}
-	comp := 1 + custkey%int64(10) // deterministic company assignment
-	row := rel.Row{
-		rel.NewInt(custkey),
-		rel.NewString(doc.PathText("Name")),
-		rel.NewString(doc.PathText("Address")),
-		rel.NewInt(comp),
-		rel.NewInt(city.Key),
-		rel.NewString(doc.PathText("Phone")),
-		rel.NewString(cityName),
-	}
-	return row, custkey, nil
 }
 
 // CheckRows validates every row of a dataset against a target schema —

@@ -1,9 +1,12 @@
 package processes
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/datagen"
 	rel "repro/internal/relational"
 	"repro/internal/schema"
 	x "repro/internal/xmlmsg"
@@ -207,7 +210,7 @@ func TestCDBOrderFromDoc(t *testing.T) {
 			).SetAttr("pos", "1"),
 		),
 	)
-	orders, lines, err := CDBOrderFromDoc(doc, -1, "Vienna")
+	orders, lines, err := CDBOrderFromXML(doc.AppendXML(nil), -1, "Vienna")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +222,7 @@ func TestCDBOrderFromDoc(t *testing.T) {
 		t.Error("citykey from doc")
 	}
 	// cityKey override wins over the document.
-	orders2, _, err := CDBOrderFromDoc(doc, 200, "Vienna")
+	orders2, _, err := CDBOrderFromXML(doc.AppendXML(nil), 200, "Vienna")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +232,14 @@ func TestCDBOrderFromDoc(t *testing.T) {
 }
 
 func TestCDBOrderFromDocErrors(t *testing.T) {
-	if _, _, err := CDBOrderFromDoc(nil, -1, "x"); err == nil {
+	if _, _, err := CDBOrderFromXML(nil, -1, "x"); err == nil {
 		t.Error("nil doc")
 	}
-	if _, _, err := CDBOrderFromDoc(x.New("Wrong"), -1, "x"); err == nil {
+	if _, _, err := CDBOrderFromXML(x.New("Wrong").AppendXML(nil), -1, "x"); err == nil {
 		t.Error("wrong root")
 	}
 	broken := x.New("CDBOrder", x.NewText("Ordkey", "nope"))
-	if _, _, err := CDBOrderFromDoc(broken, -1, "x"); err == nil {
+	if _, _, err := CDBOrderFromXML(broken.AppendXML(nil), -1, "x"); err == nil {
 		t.Error("bad ordkey")
 	}
 }
@@ -248,7 +251,7 @@ func TestEuropeCustomerRowFromMsg(t *testing.T) {
 		x.NewText("City", "Trondheim"),
 		x.NewText("Phone", "1"),
 	).SetAttr("custkey", "1000005")
-	row, key, err := EuropeCustomerRowFromMsg(doc)
+	row, key, err := EuropeCustomerRowFromXML(doc.AppendXML(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,13 +267,13 @@ func TestEuropeCustomerRowFromMsg(t *testing.T) {
 	}
 	// Unknown city fails.
 	doc.Child("City").Text = "Nowhere"
-	if _, _, err := EuropeCustomerRowFromMsg(doc); err == nil {
+	if _, _, err := EuropeCustomerRowFromXML(doc.AppendXML(nil)); err == nil {
 		t.Error("unknown city accepted")
 	}
 	// Bad key fails.
 	doc.Child("City").Text = "Berlin"
 	doc.SetAttr("custkey", "abc")
-	if _, _, err := EuropeCustomerRowFromMsg(doc); err == nil {
+	if _, _, err := EuropeCustomerRowFromXML(doc.AppendXML(nil)); err == nil {
 		t.Error("bad custkey accepted")
 	}
 }
@@ -346,5 +349,61 @@ func TestResultSetStylesheetsRewriteAllMappedColumns(t *testing.T) {
 	cols := out.Child("Metadata").ChildrenNamed("Column")
 	if cols[0].Attr("name") != "Ordkey" || cols[1].Attr("name") != "Status" {
 		t.Fatalf("rs rewrite: %v %v", cols[0].Attrs, cols[1].Attrs)
+	}
+}
+
+// TestScannersFollowTreeNavigation checks the token scanners against the
+// tree's navigation rules: the first element of a name wins, only the
+// first Lines/Head counts, records are read in document order, and a
+// document outside the canonical shape reads like its canonical form.
+func TestScannersFollowTreeNavigation(t *testing.T) {
+	canon := `<CDBOrder><Lines><Line pos="1"><Prodkey>7</Prodkey><Prodkey>8</Prodkey><Quantity>2</Quantity>` +
+		`<Extendedprice>1.5</Extendedprice></Line><Other></Other><Line pos="2"><Prodkey>9</Prodkey><Quantity>1</Quantity>` +
+		`<Extendedprice>3</Extendedprice></Line></Lines><Lines><Line pos="3"></Line></Lines>` +
+		`<Ordkey>15000001</Ordkey><Ordkey>99</Ordkey><Custkey>42</Custkey><Citykey>103</Citykey>` +
+		`<Orderdate>2008-04-07T10:00:00Z</Orderdate><Status>OPEN</Status><Priority>HIGH</Priority>` +
+		`<Totalprice>4.5</Totalprice><X><Ordkey>1</Ordkey></X></CDBOrder>`
+	pretty := "<?xml version=\"1.0\"?>\n" + strings.ReplaceAll(strings.ReplaceAll(canon, "><", ">\n  <"),
+		`<Line pos="1">`, `<Line pos='1' >`)
+	for _, doc := range []string{canon, pretty} {
+		orders, lines, err := CDBOrderFromXML([]byte(doc), -1, "Vienna")
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := orders.Row(0)
+		if o[0].Int() != 15000001 || o[2].Int() != 103 || o[4].Str() != "OPEN" || o[6].Float() != 4.5 {
+			t.Fatalf("order row %v from %q", o, doc)
+		}
+		if lines.Len() != 2 || lines.Row(0)[2].Int() != 7 || lines.Row(1)[1].Int() != 2 {
+			t.Fatalf("line rows %v from %q", lines.Rows(), doc)
+		}
+	}
+	if _, _, err := CDBOrderFromXML([]byte(canon[:40]), -1, "x"); err == nil {
+		t.Fatal("truncated document accepted")
+	}
+
+	// P04's translation writes canonical CDBOrder bytes the scanner reads.
+	g := datagen.MustNew(datagen.Config{Seed: 42, Datasize: 0.05, Dist: datagen.Uniform})
+	for i := 0; i < 20; i++ {
+		vienna := g.ViennaOrder(i)
+		out, err := appendViennaToCDB(nil, vienna.AppendXML(nil), 103)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := x.ParseBytes(out)
+		if err != nil || !bytes.Equal(doc.AppendXML(nil), out) {
+			t.Fatalf("not canonical: %s (%v)", out, err)
+		}
+		if doc.PathText("Ordkey") != vienna.Attr("id") || doc.PathText("Custkey") != vienna.PathText("Head/CustRef") ||
+			len(doc.Child("Lines").Children) != len(vienna.Child("Lines").Children) {
+			t.Fatalf("translation of %s: %s", vienna, out)
+		}
+		if _, _, err := CDBOrderFromXML(out, -1, schema.SysVienna); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := appendViennaToCDB(nil, []byte(`<ViennaOrder id="1"><Lines></Lines></ViennaOrder>`), 1); err == nil ||
+		err.Error() != "P04: Vienna message without Head" {
+		t.Fatalf("missing Head: %v", err)
 	}
 }

@@ -212,9 +212,9 @@ func (g *Gateway) Call(ctx context.Context, system, proc string, args ...rel.Val
 }
 
 // Send implements mtm.External.
-func (g *Gateway) Send(ctx context.Context, system string, doc *x.Node) error {
+func (g *Gateway) Send(ctx context.Context, system string, msg []byte) error {
 	if !IsWebService(system) {
 		return fmt.Errorf("scenario: %s does not accept entity messages", system)
 	}
-	return g.s.WSClient(system).UpdateContext(ctx, doc)
+	return g.s.WSClient(system).UpdateContext(ctx, msg)
 }

@@ -212,7 +212,7 @@ func TestGatewayWebServiceOperations(t *testing.T) {
 		x.NewText("CCITY", "Seoul"),
 		x.NewText("CPHONE", "1"),
 	)
-	if err := gw.Send(context.Background(), schema.SysSeoul, msg); err != nil {
+	if err := gw.Send(context.Background(), schema.SysSeoul, msg.AppendXML(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.WS.Service(schema.SysSeoul).Database().MustTable("Customers").Lookup(rel.NewInt(2999999)); got == nil {
@@ -225,7 +225,7 @@ func TestGatewayWebServiceOperations(t *testing.T) {
 	if _, err := gw.Call(context.Background(), schema.SysSeoul, "sp_x"); err == nil {
 		t.Error("WS call should fail")
 	}
-	if err := gw.Send(context.Background(), schema.SysCDB, msg); err == nil {
+	if err := gw.Send(context.Background(), schema.SysCDB, msg.AppendXML(nil)); err == nil {
 		t.Error("Send to database should fail")
 	}
 }
@@ -366,7 +366,7 @@ func TestRefreshOrdersMVProcedure(t *testing.T) {
 func TestEntityHandlerRejectsBadMessage(t *testing.T) {
 	s := newScenario(t)
 	bad := x.New("SKCustomer", x.NewText("CID", "not-a-number"))
-	if err := s.Gateway().Send(context.Background(), schema.SysSeoul, bad); err == nil {
+	if err := s.Gateway().Send(context.Background(), schema.SysSeoul, bad.AppendXML(nil)); err == nil {
 		t.Fatal("bad entity message accepted")
 	}
 }

@@ -1,6 +1,8 @@
 package schema
 
 import (
+	"slices"
+
 	rel "repro/internal/relational"
 )
 
@@ -165,16 +167,24 @@ func CityNationName(cityKey int64) string {
 	return n.Name
 }
 
-// CitiesInRegion returns the catalog cities belonging to a region.
-func CitiesInRegion(region string) []CityRow {
-	var out []CityRow
+// CitiesInRegion returns the catalog cities belonging to a region, in
+// catalog order. The catalog is static, so the slices are computed once;
+// callers share them and must not modify them.
+func CitiesInRegion(region string) []CityRow { return citiesByRegion[region] }
+
+// citiesByRegion backs CitiesInRegion. Each slice is clipped, so an
+// append by a caller copies instead of writing into a neighbour.
+var citiesByRegion = func() map[string][]CityRow {
+	m := make(map[string][]CityRow, len(RegionCatalog))
 	for _, c := range CityCatalog {
-		if CityRegionName(c.Key) == region {
-			out = append(out, c)
-		}
+		region := CityRegionName(c.Key)
+		m[region] = append(m[region], c)
 	}
-	return out
-}
+	for region, cities := range m {
+		m[region] = slices.Clip(cities)
+	}
+	return m
+}()
 
 // GroupByKey returns the product-group catalog row for a key, or nil.
 func GroupByKey(key int64) *ProductGroupRow {

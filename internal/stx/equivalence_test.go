@@ -87,16 +87,19 @@ func p09Answers(t *testing.T) map[*stx.Stylesheet][]byte {
 	return out
 }
 
-// e1Messages serializes the E1 messages of the first indexes, as the
-// driver generates them.
+// e1Messages serializes the first E1 messages of each kind at seeds 42
+// and 7, as the driver generates them, broken San Diego messages
+// included.
 func e1Messages() [][]byte {
-	gen := datagen.MustNew(datagen.Config{Seed: 42, Datasize: 0.05, Dist: datagen.Uniform})
 	var out [][]byte
-	for i := 0; i < 12; i++ {
-		sd, _ := gen.SanDiegoOrder(i)
-		for _, doc := range []*x.Node{gen.BeijingCustomerMsg(i), gen.MDMCustomer(i),
-			gen.ViennaOrder(i), gen.HongkongOrder(i), sd} {
-			out = append(out, doc.AppendXML(nil))
+	for _, seed := range []uint64{42, 7} {
+		gen := datagen.MustNew(datagen.Config{Seed: seed, Datasize: 0.05, Dist: datagen.Uniform})
+		for i := 0; i < 24; i++ {
+			sd, _ := gen.SanDiegoOrder(i)
+			for _, doc := range []*x.Node{gen.BeijingCustomerMsg(i), gen.MDMCustomer(i),
+				gen.ViennaOrder(i), gen.HongkongOrder(i), sd} {
+				out = append(out, doc.AppendXML(nil))
+			}
 		}
 	}
 	return out
@@ -124,6 +127,9 @@ var nonCanonical = []string{
 	`<HKOrder><Positions><Pos no="1" o="2"></Pos><Pos a="&lt;&#34;" no="3"></Pos></Positions></HKOrder>`,
 	`<MasterData><Customer custkey="1"></Customer><Customer custkey="2"></Customer></MasterData>`,
 	`<MasterData></MasterData>`,
+	`<Wrap><Pos no="1"></Pos><Count><V>1</V></Count><Wrap><Pos></Pos></Wrap></Wrap>`,
+	`<Wrap><Drop></Drop><Wrap><Pos no="1">t</Pos></Wrap></Wrap>`,
+	`<Wrap><Drop></Drop>text</Wrap>`,
 	`<ResultSet name="T"><Metadata><Column name="Cust_ID" type="BIGINT"></Column></Metadata><Rows></Rows></ResultSet>`,
 	`<HKOrder><OrdNo>1</OrdNo></HKOrder><HKOrder></HKOrder>`,
 	`<HKOrder><OrdNo>1</OrdNo></HKOrder> `,
@@ -150,7 +156,7 @@ func TestAppendTransformMatchesTree(t *testing.T) {
 	for _, s := range nonCanonical {
 		inputs = append(inputs, []byte(s))
 	}
-	for _, sheet := range sheets {
+	for _, sheet := range append(sheets, everyAction) {
 		for _, b := range inputs {
 			if diff := sameAsTree(sheet, b); diff != "" {
 				t.Fatalf("%s on %.200q: %s", sheet.Name, b, diff)
@@ -162,15 +168,39 @@ func TestAppendTransformMatchesTree(t *testing.T) {
 	if stx.Streams(processes.SheetHongkongToCDB, []byte(`<Pos no="1" pos="2"></Pos>`)) {
 		t.Fatal("attributes renamed onto one name stream")
 	}
-	// The canonical messages take the single pass, except where the root
-	// is unwrapped.
+	// The canonical messages take the single pass under every sheet.
 	for _, b := range e1Messages() {
 		for _, sheet := range sheets {
-			if root, _ := x.ParseBytes(b); sheet == processes.SheetMDMToEurope && root.Name == "MasterData" {
-				continue
-			}
 			if !stx.Streams(sheet, b) {
 				t.Fatalf("%s does not stream %q", sheet.Name, b)
+			}
+		}
+	}
+}
+
+// TestE1MessagesStayOnFastPaths checks that every E1 message the driver
+// sends, as the generator's byte builders write it, is translated by its
+// process's stylesheet in one pass, so TRANSLATE never falls back to a
+// tree on the message-triggered path.
+func TestE1MessagesStayOnFastPaths(t *testing.T) {
+	for _, seed := range []uint64{42, 7} {
+		gen := datagen.MustNew(datagen.Config{Seed: seed, Datasize: 0.05, Dist: datagen.Uniform})
+		for i := 0; i < 200; i++ {
+			sd, broken := gen.AppendSanDiegoOrder(nil, i)
+			msgs := []struct {
+				sheet *stx.Stylesheet
+				b     []byte
+			}{
+				{processes.SheetBeijingToSeoul, gen.AppendBeijingCustomerMsg(nil, i)},
+				{processes.SheetMDMToEurope, gen.AppendMDMCustomer(nil, i)},
+				{processes.SheetHongkongToCDB, gen.AppendHongkongOrder(nil, i)},
+				{processes.SheetSanDiegoToCDB, sd},
+			}
+			for _, m := range msgs {
+				if !stx.Streams(m.sheet, m.b) {
+					t.Fatalf("seed %d message %d (broken %v): %s falls back to the tree on %q",
+						seed, i, broken, m.sheet.Name, m.b)
+				}
 			}
 		}
 	}

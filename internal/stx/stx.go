@@ -9,11 +9,12 @@
 // subtrees, or computed text. Both traversals visit the input once, in
 // document order, applying the most specific matching rule at each
 // element — STX's single-pass processing model without an XSLT-style
-// node-set engine. Transform maps a *xmlmsg.Node tree to a tree (the E1
-// messages, which arrive as trees). AppendTransform maps serialized bytes
-// to serialized bytes (the P09 result sets, which arrive as a web
-// service's answer): it streams over the tokens of a canonical document
-// and builds no tree, except the subtree an ActText rule reads.
+// node-set engine. AppendTransform maps serialized bytes to serialized
+// bytes — the E1 messages and P09's result sets, which both arrive as
+// bytes: it streams over the tokens of a canonical document and builds no
+// tree, except the subtree an ActText rule reads. Transform maps a
+// *xmlmsg.Node tree to a tree; it is AppendTransform's fallback for
+// non-canonical input and its reference.
 package stx
 
 import (
@@ -195,8 +196,10 @@ func (s *Stylesheet) AppendTransform(dst, src []byte) ([]byte, error) {
 }
 
 // stream is AppendTransform's single pass. ok is false when src leaves
-// the canonical shape, or when the output needs the tree: an unwrapped
-// root, or two attributes mapped onto one name.
+// the canonical shape, or when the output needs the tree: two attributes
+// mapped onto one name. An unwrapped root follows Transform's rule: its
+// top-level outputs are written in place, and wrapped in <Result> at the
+// end of the document when there is more than one.
 func (s *Stylesheet) stream(dst []byte, src string) ([]byte, bool) {
 	var tz xmlmsg.Tokenizer
 	tz.Reset(src)
@@ -209,6 +212,11 @@ func (s *Stylesheet) stream(dst []byte, src string) ([]byte, bool) {
 	skip := 0
 	var textRule *Rule
 	textName, textStart := "", 0
+	// written counts the roots of the output: elements written while
+	// every open element is unwrapped (opened counts those that are not).
+	// out0 is where the output begins.
+	written, opened, out0 := 0, 0, len(dst)
+	textRoot := false
 	for {
 		start := tz.Offset()
 		tok, ok := tz.Next()
@@ -217,6 +225,10 @@ func (s *Stylesheet) stream(dst []byte, src string) ([]byte, bool) {
 		}
 		switch {
 		case tok.Kind == xmlmsg.EndOfDocument:
+			if written > 1 {
+				dst = slices.Insert(dst, out0, []byte("<Result>")...)
+				dst = append(dst, "</Result>"...)
+			}
 			return dst, true
 		case skip > 0:
 			if tok.Kind == xmlmsg.StartTag {
@@ -232,11 +244,15 @@ func (s *Stylesheet) stream(dst []byte, src string) ([]byte, bool) {
 			}
 			dst = xmlmsg.NewText(textName, textRule.TextFunc(sub)).AppendXML(dst)
 			textRule = nil
+			if textRoot {
+				written++
+			}
 		case tok.Kind == xmlmsg.EndTag:
 			path = path[:len(path)-1]
 			end := ends[len(ends)-1]
 			ends = ends[:len(ends)-1]
 			if end != "" {
+				opened--
 				dst = append(dst, "</"...)
 				dst = append(dst, end...)
 				dst = append(dst, '>')
@@ -250,13 +266,15 @@ func (s *Stylesheet) stream(dst []byte, src string) ([]byte, bool) {
 				skip = 1
 				if action == ActText {
 					textRule, textName, textStart = rule, name, start
+					textRoot = opened == 0
 				}
 			case ActUnwrap:
-				if len(path) == 1 {
-					return dst, false
-				}
 				ends = append(ends, "")
 			default: // ActCopy, ActRename
+				if opened == 0 {
+					written++
+				}
+				opened++
 				attrs = attrs[:0]
 				for _, a := range tok.Attrs {
 					if k, v, keep := rule.mapAttr(a.Name, a.Value); keep {

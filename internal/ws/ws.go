@@ -240,26 +240,21 @@ func (c *Client) QueryRelation(table string) (*rel.Relation, error) {
 	return c.QueryRelationContext(context.Background(), table)
 }
 
-// UpdateContext posts a document (ResultSet bulk upsert or entity
-// message) to the service's update operation.
-func (c *Client) UpdateContext(ctx context.Context, doc *x.Node) error {
-	return c.update(ctx, doc.AppendXML(nil))
-}
-
-// update posts a body to the update operation.
-func (c *Client) update(ctx context.Context, body []byte) error {
-	_, err := c.rpc.Post(ctx, "update", body)
+// UpdateContext posts a serialized document (ResultSet bulk upsert or
+// entity message) to the service's update operation.
+func (c *Client) UpdateContext(ctx context.Context, msg []byte) error {
+	_, err := c.rpc.Post(ctx, "update", msg)
 	return err
 }
 
 // Update is UpdateContext under context.Background.
-func (c *Client) Update(doc *x.Node) error {
-	return c.UpdateContext(context.Background(), doc)
+func (c *Client) Update(msg []byte) error {
+	return c.UpdateContext(context.Background(), msg)
 }
 
 // UpdateRelationContext bulk-upserts a relation into the named table.
 func (c *Client) UpdateRelationContext(ctx context.Context, table string, r *rel.Relation) error {
-	return c.update(ctx, x.AppendResultSet(nil, table, r))
+	return c.UpdateContext(ctx, x.AppendResultSet(nil, table, r))
 }
 
 // UpdateRelation is UpdateRelationContext under context.Background.

@@ -119,7 +119,7 @@ func TestEntityMessageHandler(t *testing.T) {
 		return nil
 	})
 	msg := x.New("BJCustomer", x.NewText("Cust_ID", "7"))
-	if err := NewClient(url, schema.SysBeijing).Update(msg); err != nil {
+	if err := NewClient(url, schema.SysBeijing).Update(msg.AppendXML(nil)); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -132,7 +132,7 @@ func TestEntityMessageHandler(t *testing.T) {
 func TestHandlerErrorSurfacesAsHTTPError(t *testing.T) {
 	_, svc, url := startRegistry(t, 0)
 	svc.HandleMessage("Boom", func(*x.Node) error { return fmt.Errorf("kaboom") })
-	err := NewClient(url, schema.SysBeijing).Update(x.New("Boom"))
+	err := NewClient(url, schema.SysBeijing).Update(x.New("Boom").AppendXML(nil))
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("handler error: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestErrors(t *testing.T) {
 	if _, err := c.Query("NoSuchTable"); err == nil {
 		t.Error("query missing table")
 	}
-	if err := c.Update(x.New("UnknownMessage")); err == nil {
+	if err := c.Update(x.New("UnknownMessage").AppendXML(nil)); err == nil {
 		t.Error("unregistered message")
 	}
 	if _, err := NewClient(url, "atlantis").Query("Customers"); err == nil {

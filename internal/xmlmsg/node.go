@@ -2,11 +2,16 @@
 // document object model over encoding/xml, a builder API, serialization,
 // path navigation and an XSD-lite validator.
 //
-// Documents a process inspects — Vienna and San Diego business messages,
-// MDM master-data messages — are *Node trees. Result sets stay bytes where
-// nothing looks inside them: the result-set codec (rscodec.go) reads and
-// writes them without a tree, and the Tokenizer (tokens.go) lets the STX
-// translation of P09 stream over the Asia web services' answers.
+// On the benchmark's hot paths documents stay bytes in the canonical
+// shape AppendXML writes. The result-set codec (rscodec.go) reads and
+// writes result sets without a tree; the Tokenizer and ScanDocument
+// (tokens.go) let the STX translations, the VALIDATE operator
+// (Schema.ValidateXML) and the processes' message scanners read the E1
+// messages and P09's answers in one pass. A document outside the
+// canonical shape is parsed into a *Node tree once and read from its
+// canonical serialization, so the tree defines acceptance and error
+// text. Trees remain for building small documents by hand, for the
+// web services' request handlers and as the test oracles.
 package xmlmsg
 
 import (

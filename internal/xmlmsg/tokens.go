@@ -1,6 +1,10 @@
 package xmlmsg
 
-import "strings"
+import (
+	"fmt"
+	"strings"
+	"sync"
+)
 
 // Tokens of canonical documents, for transformers that stream.
 //
@@ -50,12 +54,22 @@ type Tokenizer struct {
 	attrs []Attr
 	seen  bool    // the root start tag was read
 	d     Decoder // scratch for expanding escaped text
+	// trusted marks s as AppendXML's serialization of a parsed tree
+	// (see ScanDocument): its names and text were checked by the parse,
+	// so names are read up to the next delimiter and text is not checked
+	// for characters outside the fast subset.
+	trusted bool
 }
 
 // Reset starts reading s, keeping the scratch space of earlier documents.
 func (t *Tokenizer) Reset(s string) {
 	*t = Tokenizer{s: s, open: t.open[:0], attrs: t.attrs[:0], d: t.d}
 }
+
+// Document returns the document the tokenizer reads; inside
+// ScanDocument's second pass, the canonical serialization of the parsed
+// tree.
+func (t *Tokenizer) Document() string { return t.s }
 
 // Offset returns the position of the next unread byte of the document.
 func (t *Tokenizer) Offset() int { return t.i }
@@ -113,7 +127,7 @@ func (t *Tokenizer) Next() (tok Token, ok bool) {
 		return Token{}, false
 	}
 	text, ok := t.d.expand(raw)
-	if !ok {
+	if !ok && !t.trusted {
 		return Token{}, false
 	}
 	tok.Text = strings.TrimSpace(text)
@@ -124,7 +138,7 @@ func (t *Tokenizer) Next() (tok Token, ok bool) {
 func (t *Tokenizer) name() (string, bool) {
 	start := t.i
 	j := start
-	for j < len(t.s) && isNameByte(t.s[j], j == start) {
+	for j < len(t.s) && t.isNameByte(t.s[j], j == start) {
 		j++
 	}
 	if j == start {
@@ -132,6 +146,15 @@ func (t *Tokenizer) name() (string, bool) {
 	}
 	t.i = j
 	return t.s[start:j], true
+}
+
+// isNameByte reports whether c continues a name. A trusted document's
+// names are those of a parsed tree, so anything up to a delimiter is one.
+func (t *Tokenizer) isNameByte(c byte, first bool) bool {
+	if t.trusted {
+		return strings.IndexByte(` =/>"<`, c) < 0
+	}
+	return isNameByte(c, first)
 }
 
 // attr reads one ` key="value"`.
@@ -153,7 +176,7 @@ func (t *Tokenizer) attr() (Attr, bool) {
 		return Attr{}, false
 	}
 	val, ok := t.d.expand(raw)
-	return Attr{Name: name, Value: val}, ok
+	return Attr{Name: name, Value: val}, ok || t.trusted
 }
 
 // lit consumes p if the input continues with it.
@@ -168,3 +191,34 @@ func (t *Tokenizer) lit(p string) bool {
 // AppendText appends element text with AppendXML's escaping, for codecs
 // that write elements by hand.
 func AppendText(dst []byte, text string) []byte { return appendEscaped(dst, text, false) }
+
+// tokenizers backs ScanDocument.
+var tokenizers = sync.Pool{New: func() any { return new(Tokenizer) }}
+
+// ScanDocument runs scan over the tokens of the document src. scan reads
+// tokens with Next and returns false as soon as Next does. A document
+// outside the canonical shape is parsed once, and scan runs again, from
+// the start, over AppendXML's serialization of the parsed tree, so it
+// sees exactly the tree Parse builds; a parse error is returned as Parse
+// reports it. The Tokenizer is only valid during the call.
+func ScanDocument(src string, scan func(*Tokenizer) bool) error {
+	t := tokenizers.Get().(*Tokenizer)
+	defer func() {
+		t.Reset("")
+		tokenizers.Put(t)
+	}()
+	t.Reset(src)
+	if scan(t) {
+		return nil
+	}
+	doc, err := ParseString(src)
+	if err != nil {
+		return err
+	}
+	t.Reset(string(doc.AppendXML(nil)))
+	t.trusted = true
+	if !scan(t) {
+		return fmt.Errorf("xmlmsg: the serialized tree of %.40q does not tokenize", src)
+	}
+	return nil
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -112,86 +113,195 @@ func (e *ValidationError) Error() string {
 	return fmt.Sprintf("xmlmsg: validation at %s: %s", e.Path, e.Reason)
 }
 
-// Validate checks the document against the schema and returns all
-// violations (empty means valid). This implements the VALIDATE operator of
-// the MTM used by process types P10, P12 and P13.
+// Validate checks a tree against the schema by its serialized form (see
+// ValidateXML) and returns all violations (empty means valid). A tree
+// whose serialization does not parse is reported as one violation.
 func (s *Schema) Validate(doc *Node) []*ValidationError {
 	if doc == nil {
 		return []*ValidationError{{Path: "/", Reason: "empty document"}}
 	}
-	var errs []*ValidationError
-	if doc.Name != s.Root.Name {
-		errs = append(errs, &ValidationError{
-			Path:   "/" + doc.Name,
-			Reason: fmt.Sprintf("root element %q, schema expects %q", doc.Name, s.Root.Name),
-		})
-		return errs
+	errs, err := s.ValidateXML(doc.AppendXML(nil))
+	if err != nil {
+		return []*ValidationError{{Path: "/" + doc.Name, Reason: err.Error()}}
 	}
-	validateNode(doc, s.Root, "/"+doc.Name, &errs)
 	return errs
 }
 
 // Valid reports whether the document has no violations.
 func (s *Schema) Valid(doc *Node) bool { return len(s.Validate(doc)) == 0 }
 
-func validateNode(n *Node, d *ElementDecl, path string, errs *[]*ValidationError) {
-	for _, a := range d.ReqAttrs {
-		if _, ok := n.Attrs[a]; !ok {
-			*errs = append(*errs, &ValidationError{path, fmt.Sprintf("missing attribute %q", a)})
-		}
+// ValidateXML checks a serialized document against the schema and returns
+// all violations (empty means valid), in document order: an element's
+// missing attributes, then its children one by one, then the occurrence
+// bounds of its declared children. This implements the VALIDATE operator
+// of the MTM used by process types P10, P12 and P13. It walks the
+// document's tokens (ScanDocument) and builds no tree; a document that
+// does not parse returns the parse error and no violations.
+func (s *Schema) ValidateXML(b []byte) ([]*ValidationError, error) {
+	v := validators.Get().(*validator)
+	defer validators.Put(v)
+	err := ScanDocument(string(b), func(t *Tokenizer) bool { return v.run(s, t) })
+	errs := v.errs
+	v.errs = nil
+	if err != nil {
+		return nil, err
 	}
-	if len(d.Children) == 0 {
-		if len(n.Children) > 0 {
-			*errs = append(*errs, &ValidationError{path, "unexpected child elements in leaf"})
-			return
-		}
-		if reason := checkSimpleType(n.Text, d.Type); reason != "" {
-			*errs = append(*errs, &ValidationError{path, reason})
-		}
-		return
+	return errs, nil
+}
+
+// validators recycles the validation stacks across documents.
+var validators = sync.Pool{New: func() any { return new(validator) }}
+
+// validator holds one walk's state: the path of the open element, a
+// frame per open element and the child counts of the open complex ones.
+type validator struct {
+	path   []byte
+	frames []vframe
+	counts []int
+	errs   []*ValidationError
+}
+
+// vframe is one open element.
+type vframe struct {
+	decl    *ElementDecl // nil: inside a subtree that is not validated
+	pathLen int          // len(path) with this element's segment
+	counts  int          // offset of the child counts in validator.counts
+	lastIdx int          // the last declaration index seen (xs:sequence)
+	text    string       // a leaf's text
+	// children is set once a leaf declaration met a child element.
+	children bool
+}
+
+// fail records a violation at the current path plus an optional segment.
+func (v *validator) fail(seg, reason string) {
+	p := string(v.path)
+	if seg != "" {
+		p += "/" + seg
 	}
-	decls := make(map[string]*ElementDecl, len(d.Children))
-	counts := make(map[string]int, len(d.Children))
-	for _, cd := range d.Children {
-		decls[cd.Name] = cd
-	}
-	lastDeclIdx := -1
-	declIdx := make(map[string]int, len(d.Children))
-	for i, cd := range d.Children {
-		declIdx[cd.Name] = i
-	}
-	for _, c := range n.Children {
-		cd, ok := decls[c.Name]
-		cpath := path + "/" + c.Name
+	v.errs = append(v.errs, &ValidationError{Path: p, Reason: reason})
+}
+
+// run walks one document; false means the tokenizer left the canonical
+// shape and the walk's findings are void.
+func (v *validator) run(s *Schema, t *Tokenizer) bool {
+	v.path, v.frames, v.counts, v.errs = v.path[:0], v.frames[:0], v.counts[:0], nil
+	for {
+		tok, ok := t.Next()
 		if !ok {
-			*errs = append(*errs, &ValidationError{cpath, "undeclared element"})
-			continue
+			return false
 		}
-		if d.Ordered {
-			if idx := declIdx[c.Name]; idx < lastDeclIdx {
-				*errs = append(*errs, &ValidationError{cpath, "element out of sequence"})
-			} else {
-				lastDeclIdx = idx
+		switch tok.Kind {
+		case EndOfDocument:
+			return true
+		case EndTag:
+			v.end()
+		default:
+			v.start(s, tok)
+		}
+	}
+}
+
+// start opens an element: the root, or a child of the innermost frame.
+func (v *validator) start(s *Schema, tok Token) {
+	var decl *ElementDecl
+	v.path = append(append(v.path, '/'), tok.Name...)
+	if len(v.frames) == 0 {
+		if tok.Name == s.Root.Name {
+			decl = s.Root
+		} else {
+			v.fail("", fmt.Sprintf("root element %q, schema expects %q", tok.Name, s.Root.Name))
+		}
+	} else {
+		parent := &v.frames[len(v.frames)-1]
+		switch pd := parent.decl; {
+		case pd == nil:
+		case len(pd.Children) == 0:
+			// Reported once, at the leaf's own path.
+			if !parent.children {
+				parent.children = true
+				v.errs = append(v.errs, &ValidationError{
+					Path: string(v.path[:parent.pathLen]), Reason: "unexpected child elements in leaf"})
+			}
+		default:
+			idx := lastDecl(pd, tok.Name)
+			if idx < 0 {
+				v.fail("", "undeclared element")
+				break
+			}
+			if pd.Ordered {
+				if idx < parent.lastIdx {
+					v.fail("", "element out of sequence")
+				} else {
+					parent.lastIdx = idx
+				}
+			}
+			v.counts[parent.counts+idx]++
+			decl = pd.Children[idx]
+		}
+	}
+	f := vframe{decl: decl, pathLen: len(v.path), counts: len(v.counts), lastIdx: -1, text: tok.Text}
+	if decl != nil {
+		for _, a := range decl.ReqAttrs {
+			if !hasAttr(tok.Attrs, a) {
+				v.fail("", fmt.Sprintf("missing attribute %q", a))
 			}
 		}
-		counts[c.Name]++
-		validateNode(c, cd, cpath, errs)
-	}
-	for _, cd := range d.Children {
-		got := counts[cd.Name]
-		if got < cd.MinOccurs {
-			*errs = append(*errs, &ValidationError{
-				path + "/" + cd.Name,
-				fmt.Sprintf("occurs %d times, minimum %d", got, cd.MinOccurs),
-			})
-		}
-		if cd.MaxOccurs >= 0 && got > cd.MaxOccurs {
-			*errs = append(*errs, &ValidationError{
-				path + "/" + cd.Name,
-				fmt.Sprintf("occurs %d times, maximum %d", got, cd.MaxOccurs),
-			})
+		for range decl.Children {
+			v.counts = append(v.counts, 0)
 		}
 	}
+	v.frames = append(v.frames, f)
+}
+
+// end closes the innermost element: a leaf's text is checked, a complex
+// element's declared children are counted.
+func (v *validator) end() {
+	f := v.frames[len(v.frames)-1]
+	v.frames = v.frames[:len(v.frames)-1]
+	v.path = v.path[:f.pathLen]
+	switch d := f.decl; {
+	case d == nil:
+	case len(d.Children) == 0:
+		if !f.children {
+			if reason := checkSimpleType(f.text, d.Type); reason != "" {
+				v.fail("", reason)
+			}
+		}
+	default:
+		for _, cd := range d.Children {
+			got := v.counts[f.counts+lastDecl(d, cd.Name)]
+			if got < cd.MinOccurs {
+				v.fail(cd.Name, fmt.Sprintf("occurs %d times, minimum %d", got, cd.MinOccurs))
+			}
+			if cd.MaxOccurs >= 0 && got > cd.MaxOccurs {
+				v.fail(cd.Name, fmt.Sprintf("occurs %d times, maximum %d", got, cd.MaxOccurs))
+			}
+		}
+		v.counts = v.counts[:f.counts]
+	}
+	if len(v.frames) > 0 {
+		v.path = v.path[:v.frames[len(v.frames)-1].pathLen]
+	}
+}
+
+// lastDecl returns the index of the last child declaration of d named
+// name, or -1: a later declaration of a name shadows an earlier one.
+func lastDecl(d *ElementDecl, name string) int {
+	for i := len(d.Children) - 1; i >= 0; i-- {
+		if d.Children[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+func hasAttr(attrs []Attr, name string) bool {
+	for _, a := range attrs {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 func checkSimpleType(text string, t DataType) string {
