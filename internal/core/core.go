@@ -120,11 +120,6 @@ type Config struct {
 	// invisible in the warehouse and marts.
 	ChaosVerify bool
 
-	// Incremental overrides the engine preset's incremental-maintenance
-	// default: "on" forces the delta-driven group C/D variants, "off"
-	// forces full re-extraction, "" keeps the preset (off for federated,
-	// on for the optimized engines).
-	Incremental string
 	// Columnar overrides the engine preset's execution-layout default:
 	// "on" forces the vectorized columnar kernels for eligible dataset
 	// operators, "off" forces the row kernels, "" keeps the preset (off
@@ -145,16 +140,9 @@ type Config struct {
 	// MVCheckEvery > 0 recomputes every OrdersMV from scratch every N-th
 	// period — a typed fold of Orders into (count, sum) per (Year, Month,
 	// Custkey), independent of the refresh procedure — and aborts on any
-	// divergence from the stored (possibly incrementally maintained) view:
-	// counts must be equal and sums bit-equal. Verify implies
-	// MVCheckEvery=1 when unset.
+	// divergence from the stored view: counts must be equal and sums
+	// bit-equal. Verify implies MVCheckEvery=1 when unset.
 	MVCheckEvery int
-	// RecomputeVerify, after a successful run with incremental
-	// maintenance, executes a full-recompute twin of the same
-	// configuration (incremental forced off) and asserts the integrated
-	// data is byte-identical — delta maintenance must be invisible in the
-	// warehouse, views and marts.
-	RecomputeVerify bool
 
 	// WALDir enables crash-consistent checkpointing: the write-ahead log
 	// and periodic state snapshots live in this directory. Empty disables
@@ -290,15 +278,6 @@ func New(cfg Config) (*Benchmark, error) {
 		_ = scn.Close()
 		return nil, err
 	}
-	switch cfg.Incremental {
-	case "":
-	case "on":
-		eng.SetIncremental(true)
-	case "off":
-		eng.SetIncremental(false)
-	default:
-		return fail(fmt.Errorf("core: Incremental must be \"\", \"on\" or \"off\", got %q", cfg.Incremental))
-	}
 	switch cfg.Columnar {
 	case "":
 	case "on":
@@ -345,8 +324,8 @@ func New(cfg Config) (*Benchmark, error) {
 	if cfg.Resilience != nil && eng.Resilient() == nil {
 		eng.SetResilience(cfg.Resilience, mon.Resilience())
 	}
-	// Sharding partitions the fully configured engine (incremental,
-	// columnar and resilience settings propagate into the shard children at
+	// Sharding partitions the fully configured engine (columnar and
+	// resilience settings propagate into the shard children at
 	// creation) and must precede the durability layer so a resume restores
 	// into the sharded shape.
 	if cfg.Shards < 0 {
@@ -461,9 +440,6 @@ type Result struct {
 	// Chaos is the fault-transparency verification against the fault-free
 	// twin run (nil unless Config.ChaosVerify).
 	Chaos *driver.VerificationResult
-	// Recompute is the incremental-transparency verification against the
-	// full-recompute twin run (nil unless Config.RecomputeVerify).
-	Recompute *driver.VerificationResult
 	// Shard is the shard-transparency verification against the unsharded
 	// twin run (nil unless Config.ShardVerify).
 	Shard *driver.VerificationResult
@@ -500,10 +476,6 @@ func (b *Benchmark) RunContext(ctx context.Context) (*Result, error) {
 	if b.cfg.ChaosVerify {
 		res.Chaos, err = b.runTwin(ctx, "chaos", "identical to fault-free run", func(*Config) {})
 	}
-	if err == nil && b.cfg.RecomputeVerify {
-		res.Recompute, err = b.runTwin(ctx, "recompute", "identical to full-recompute run",
-			func(c *Config) { c.Incremental = "off" })
-	}
 	if err == nil && b.cfg.ShardVerify {
 		res.Shard, err = b.runTwin(ctx, "shard", "identical to unsharded run",
 			func(c *Config) { c.Shards = 0 })
@@ -515,7 +487,7 @@ func (b *Benchmark) RunContext(ctx context.Context) (*Result, error) {
 }
 
 // runTwin executes a twin of this benchmark's configuration — same seed,
-// scale, engine, periods, maintenance mode, layout and shards, changed
+// scale, engine, periods, layout and shards, changed
 // only by mutate — and compares the integrated data of both runs. The
 // twin runs on the fast clock with no fault injection, tracing,
 // durability, progress callbacks or verification of its own, so it never
@@ -524,7 +496,7 @@ func (b *Benchmark) RunContext(ctx context.Context) (*Result, error) {
 func (b *Benchmark) runTwin(ctx context.Context, label, okInfo string, mutate func(*Config)) (*driver.VerificationResult, error) {
 	cfg := b.cfg
 	cfg.FaultRate, cfg.FaultSeed, cfg.Resilience = 0, 0, nil
-	cfg.ChaosVerify, cfg.RecomputeVerify, cfg.ShardVerify = false, false, false
+	cfg.ChaosVerify, cfg.ShardVerify = false, false
 	cfg.FastClock, cfg.Verify, cfg.MVCheckEvery, cfg.Trace = true, false, 0, false
 	cfg.OnPeriod, cfg.DrainCheck = nil, nil
 	cfg.WALDir, cfg.Fence, cfg.CheckpointEvery, cfg.Resume, cfg.CrashAt = "", nil, 0, false, ""

@@ -68,14 +68,13 @@ type recoveryController struct {
 // directory to one run setup.
 func checkpointMeta(cfg Config, eng *engine.Engine) checkpoint.Meta {
 	return checkpoint.Meta{
-		Seed:        int64(cfg.Seed),
-		Datasize:    cfg.Datasize,
-		TimeScale:   cfg.TimeScale,
-		Dist:        cfg.Distribution,
-		Engine:      cfg.Engine,
-		Periods:     cfg.Periods,
-		Incremental: eng.Options().Incremental,
-		Shards:      eng.ShardCount(),
+		Seed:      int64(cfg.Seed),
+		Datasize:  cfg.Datasize,
+		TimeScale: cfg.TimeScale,
+		Dist:      cfg.Distribution,
+		Engine:    cfg.Engine,
+		Periods:   cfg.Periods,
+		Shards:    eng.ShardCount(),
 	}
 }
 
@@ -127,7 +126,6 @@ func newRecoveryController(cfg Config, scn *scenario.Scenario, eng *engine.Engin
 			return nil, nil, err
 		}
 	}
-	eng.SetWatermarkSink(rc.watermark)
 	eng.SetDLQSink(rc.deadLetter)
 	return rc, res, nil
 }
@@ -293,13 +291,6 @@ func (rc *recoveryController) Barrier(bp driver.BarrierPoint) error {
 }
 
 // --- engine sinks ---
-
-// watermark taps every extraction-watermark advance into the WAL. Sink
-// errors cannot abort the engine call path; the next barrier's Sync
-// surfaces write failures.
-func (rc *recoveryController) watermark(key string, version uint64) {
-	_, _ = rc.w.Append(wal.TypeWatermark, wal.Mark{Key: key, Version: version}.Encode())
-}
 
 // deadLetter records a parked message durably the moment it is parked —
 // a dead letter is an audit fact that must survive any crash.

@@ -313,8 +313,8 @@ func BenchmarkPeriodWALOff(b *testing.B) {
 	benchmarkPeriods(b, nil, 0)
 }
 
-// BenchmarkPeriodWALOn isolates the log itself: every dispatch, ack,
-// watermark and barrier is appended and fsynced at stream barriers, but
+// BenchmarkPeriodWALOn isolates the log itself: every dispatch, ack
+// and barrier is appended and fsynced at stream barriers, but
 // no snapshot commits inside the run (CheckpointEvery far beyond the
 // period count). This is the overhead WAL-on adds to stream throughput.
 func BenchmarkPeriodWALOn(b *testing.B) {

@@ -22,21 +22,19 @@ import (
 // tests pin that across the optimization toggles and both transports.
 
 // schedTwinVariant is one cell of the toggle matrix the bit-identity
-// contract is pinned on: delta-driven maintenance, vectorized kernels,
-// and region sharding (where shard children inherit the parent handle).
+// contract is pinned on: vectorized kernels, and region sharding (where
+// shard children inherit the parent handle).
 // Every cell keeps the vectorized kernels on: only they and union-distinct
 // submit work to the scheduler, because the row kernels are sequential.
 type schedTwinVariant struct {
-	name        string
-	incremental string
-	columnar    string
-	shards      int
+	name     string
+	columnar string
+	shards   int
 }
 
 var schedTwinVariants = []schedTwinVariant{
-	{"incremental", "on", "on", 0},
-	{"columnar", "off", "on", 0},
-	{"sharded", "on", "on", 2},
+	{"columnar", "on", 0},
+	{"sharded", "on", 2},
 }
 
 func schedTwinConfig(v schedTwinVariant, remote bool) Config {
@@ -47,7 +45,7 @@ func schedTwinConfig(v schedTwinVariant, remote bool) Config {
 		// would otherwise leave the presets sequential and the twin
 		// comparison vacuous.
 		EngineOptions: &engine.Options{PlanCache: true, Parallelism: 4},
-		Incremental:   v.incremental, Columnar: v.columnar, Shards: v.shards,
+		Columnar:      v.columnar, Shards: v.shards,
 	}
 }
 
@@ -187,7 +185,7 @@ func TestSchedShareRegistersOwnedHandle(t *testing.T) {
 func TestSchedulerCancellationNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		cfg := schedTwinConfig(schedTwinVariants[2], false)
+		cfg := schedTwinConfig(schedTwinVariants[1], false)
 		cfg.Periods = 20
 		cfg.SchedShare = 1
 		b, err := New(cfg)

@@ -14,8 +14,8 @@ import (
 // `-shards N` must leave the warehouse, the OrdersMV views and all three
 // data marts byte-identical to the unsharded run of the same
 // configuration. These tests pin that end to end — across shard counts,
-// across the remote transport, and composed with fault injection,
-// incremental maintenance and columnar execution.
+// across the remote transport, and composed with fault injection and
+// columnar execution.
 
 // TestShardedMatchesUnsharded is the tentpole acceptance criterion: the
 // final integrated snapshot must be identical for -shards 0 (legacy
@@ -75,29 +75,25 @@ func TestShardedMatchesUnshardedRemote(t *testing.T) {
 	}
 }
 
-// TestShardedComposesWithFaultsIncrementalColumnar proves the toggles
-// stack: a faulty 3-shard run on columnar kernels with incremental
-// maintenance must pass all three built-in twin verifications — the
-// fault-free twin (which inherits Shards 3), the full-recompute twin and
-// the unsharded twin. Twins start no twins of their own, so the run
-// builds exactly four benchmarks.
-func TestShardedComposesWithFaultsIncrementalColumnar(t *testing.T) {
+// TestShardedComposesWithFaultsColumnar proves the toggles stack: a
+// faulty 3-shard run on columnar kernels must pass both built-in twin
+// verifications — the fault-free twin (which inherits Shards 3) and the
+// unsharded twin. Twins start no twins of their own, so the run builds
+// exactly three benchmarks.
+func TestShardedComposesWithFaultsColumnar(t *testing.T) {
 	cfg := Config{
 		Datasize: 0.004, Periods: 2, Seed: 11, FastClock: true,
-		Engine: EnginePipeline, Columnar: "on", Incremental: "on",
+		Engine: EnginePipeline, Columnar: "on",
 		Shards: 3, FaultRate: 0.05,
-		ChaosVerify: true, RecomputeVerify: true, ShardVerify: true,
+		ChaosVerify: true, ShardVerify: true,
 	}
 	before := built.Load()
 	_, res := runSnapshot(t, cfg)
-	if n := built.Load() - before; n != 4 {
-		t.Errorf("run built %d benchmarks, want 4 (the run and one twin per verification)", n)
+	if n := built.Load() - before; n != 3 {
+		t.Errorf("run built %d benchmarks, want 3 (the run and one twin per verification)", n)
 	}
 	if res.Chaos == nil || !res.Chaos.OK() {
 		t.Fatalf("chaos twin failed under sharding:\n%v", res.Chaos)
-	}
-	if res.Recompute == nil || !res.Recompute.OK() {
-		t.Fatalf("recompute twin failed under sharding:\n%v", res.Recompute)
 	}
 	if res.Shard == nil || !res.Shard.OK() {
 		t.Fatalf("unsharded twin failed:\n%v", res.Shard)

@@ -14,9 +14,6 @@
 //	/db/<instance>/update   <Update table="T" where="...">
 //	                          <Set col="C" type="BIGINT">42</Set>...    -> <Affected n=""/>
 //	/db/<instance>/call     <Call proc="P"><Arg type="...">v</Arg>...   -> ResultSet
-//	/db/<instance>/querysince <QuerySince table="T" since="12"/>        -> Delta
-//	                          (Delta = from/to/reset attrs + inserts/
-//	                           updates/deletes ResultSets)
 //	/db/<instance>/snapshot <Snapshot/>           -> <Snapshot enc="base64">blob</Snapshot>
 //	/db/<instance>/restore  <Restore enc="base64">blob</Restore>        -> <Affected n=""/>
 //	                        (blob = relational snapshot codec, used by
@@ -66,15 +63,14 @@ func Serve(server *rel.Server) (*Remote, error) {
 		Exempt: map[string]bool{"snapshot": true, "restore": true},
 		Lookup: server.Connect,
 		Ops: map[string]httpsrv.Op[*rel.Conn]{
-			"query":      opQuery,
-			"querysince": opQuerySince,
-			"insert":     func(c *rel.Conn, body, dst []byte) ([]byte, error) { return opLoad(c, body, dst, false) },
-			"upsert":     func(c *rel.Conn, body, dst []byte) ([]byte, error) { return opLoad(c, body, dst, true) },
-			"delete":     opDelete,
-			"update":     opUpdate,
-			"call":       opCall,
-			"snapshot":   opSnapshot,
-			"restore":    opRestore,
+			"query":    opQuery,
+			"insert":   func(c *rel.Conn, body, dst []byte) ([]byte, error) { return opLoad(c, body, dst, false) },
+			"upsert":   func(c *rel.Conn, body, dst []byte) ([]byte, error) { return opLoad(c, body, dst, true) },
+			"delete":   opDelete,
+			"update":   opUpdate,
+			"call":     opCall,
+			"snapshot": opSnapshot,
+			"restore":  opRestore,
 		},
 	}}
 	srv, err := httpsrv.Listen(r.mux)
@@ -122,141 +118,6 @@ func opQuery(conn *rel.Conn, body, dst []byte) ([]byte, error) {
 		return nil, err
 	}
 	return x.AppendResultSet(dst, doc.Attr("table"), relation), nil
-}
-
-func opQuerySince(conn *rel.Conn, body, dst []byte) ([]byte, error) {
-	doc, err := httpsrv.ParseBody(body)
-	if err != nil {
-		return nil, err
-	}
-	if doc.Name != "QuerySince" {
-		return nil, fmt.Errorf("dbproto: querysince expects a QuerySince document")
-	}
-	since, err := strconv.ParseUint(doc.Attr("since"), 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("dbproto: querysince: bad since attribute: %w", err)
-	}
-	d, err := conn.QuerySince(doc.Attr("table"), since)
-	if err != nil {
-		return nil, err
-	}
-	return appendDelta(dst, d), nil
-}
-
-// appendDelta appends a net change set as a Delta document carrying one
-// result set per image class. Values travel in the exact textual form
-// String/ParseValue round-trip, so deltas stay bit-identical across the
-// wire.
-func appendDelta(dst []byte, d *rel.Delta) []byte {
-	dst = append(dst, `<Delta from="`...)
-	dst = strconv.AppendUint(dst, d.From, 10)
-	dst = append(dst, '"')
-	if d.Reset {
-		dst = append(dst, ` reset="true"`...)
-	}
-	dst = x.AppendAttr(dst, "table", d.Table)
-	dst = append(dst, ` to="`...)
-	dst = strconv.AppendUint(dst, d.To, 10)
-	dst = append(dst, `">`...)
-	dst = x.AppendResultSet(dst, "inserts", d.Inserts)
-	dst = x.AppendResultSet(dst, "updates", d.Updates)
-	dst = x.AppendResultSet(dst, "deletes", d.Deletes)
-	return append(dst, "</Delta>"...)
-}
-
-// scanDelta reads a Delta document in exactly the shape appendDelta
-// writes. ok is false for anything else; decodeDelta then reads the
-// document as a tree and decides acceptance and error text.
-func scanDelta(s string) (d *rel.Delta, ok bool) {
-	d = &rel.Delta{}
-	if d.From, s, ok = cutUint(s, `<Delta from="`); !ok {
-		return nil, false
-	}
-	s, d.Reset = strings.CutPrefix(s, `" reset="true`)
-	s, ok = strings.CutPrefix(s, `" table="`)
-	end := strings.IndexByte(s, '"')
-	if !ok || end < 0 || !plainASCII(s[:end]) {
-		return nil, false
-	}
-	d.Table, s = s[:end], s[end:]
-	if d.To, s, ok = cutUint(s, `" to="`); !ok {
-		return nil, false
-	}
-	if s, ok = strings.CutPrefix(s, `">`); !ok {
-		return nil, false
-	}
-	for _, part := range []struct {
-		name string
-		dst  **rel.Relation
-	}{{"inserts", &d.Inserts}, {"updates", &d.Updates}, {"deletes", &d.Deletes}} {
-		var name string
-		if name, *part.dst, s, ok = x.ScanResultSet(s); !ok || name != part.name {
-			return nil, false
-		}
-	}
-	return d, s == "</Delta>"
-}
-
-// cutUint reads the unsigned integer that follows prefix up to the
-// closing quote, which it leaves in the rest.
-func cutUint(s, prefix string) (uint64, string, bool) {
-	s, ok := strings.CutPrefix(s, prefix)
-	end := strings.IndexByte(s, '"')
-	if !ok || end < 0 {
-		return 0, s, false
-	}
-	n, err := strconv.ParseUint(s[:end], 10, 64)
-	return n, s[end:], err == nil
-}
-
-// plainASCII reports whether an attribute value reads the same raw and
-// parsed: printable ASCII without a reference or a '<'.
-func plainASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '&' || c == '<' {
-			return false
-		}
-	}
-	return true
-}
-
-// decodeDelta parses a Delta document back into a rel.Delta.
-func decodeDelta(doc *x.Node) (*rel.Delta, error) {
-	if doc.Name != "Delta" {
-		return nil, fmt.Errorf("dbproto: unexpected response %s", doc.Name)
-	}
-	from, err := strconv.ParseUint(doc.Attr("from"), 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("dbproto: delta from: %w", err)
-	}
-	to, err := strconv.ParseUint(doc.Attr("to"), 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("dbproto: delta to: %w", err)
-	}
-	d := &rel.Delta{
-		Table: doc.Attr("table"), From: from, To: to,
-		Reset: doc.Attr("reset") == "true",
-	}
-	for _, rs := range doc.ChildrenNamed("ResultSet") {
-		r, err := x.ToRelation(rs)
-		if err != nil {
-			return nil, err
-		}
-		switch rs.Attr("name") {
-		case "inserts":
-			d.Inserts = r
-		case "updates":
-			d.Updates = r
-		case "deletes":
-			d.Deletes = r
-		default:
-			return nil, fmt.Errorf("dbproto: delta with unknown result set %q", rs.Attr("name"))
-		}
-	}
-	if d.Inserts == nil || d.Updates == nil || d.Deletes == nil {
-		return nil, fmt.Errorf("dbproto: incomplete delta document")
-	}
-	return d, nil
 }
 
 func opLoad(conn *rel.Conn, body, dst []byte, upsert bool) ([]byte, error) {
@@ -476,32 +337,6 @@ func (c *Client) QueryContext(ctx context.Context, table string, pred rel.Predic
 // Query is QueryContext under context.Background.
 func (c *Client) Query(table string, pred rel.Predicate) (*rel.Relation, error) {
 	return c.QueryContext(context.Background(), table, pred)
-}
-
-// QuerySinceContext reads the net changes of a table after a watermark.
-// An unserveable watermark comes back as a Reset delta with a full
-// snapshot, mirroring Conn.QuerySince.
-func (c *Client) QuerySinceContext(ctx context.Context, table string, since uint64) (*rel.Delta, error) {
-	q := x.New("QuerySince").
-		SetAttr("table", table).
-		SetAttr("since", strconv.FormatUint(since, 10))
-	answer, err := c.rpc.Post(ctx, "querysince", q.AppendXML(nil))
-	if err != nil {
-		return nil, err
-	}
-	if d, ok := scanDelta(string(answer)); ok {
-		return d, nil
-	}
-	doc, err := x.ParseBytes(answer)
-	if err != nil {
-		return nil, err
-	}
-	return decodeDelta(doc)
-}
-
-// QuerySince is QuerySinceContext under context.Background.
-func (c *Client) QuerySince(table string, since uint64) (*rel.Delta, error) {
-	return c.QuerySinceContext(context.Background(), table, since)
 }
 
 // InsertContext appends the relation to the table.

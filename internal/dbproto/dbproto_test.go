@@ -179,59 +179,3 @@ func TestProtocolErrors(t *testing.T) {
 		t.Error("missing instance")
 	}
 }
-
-func TestQuerySinceOverTheWire(t *testing.T) {
-	_, db, c := startRemote(t)
-	if err := c.Insert("Orders", sampleRelation()); err != nil {
-		t.Fatal(err)
-	}
-	w := db.MustTable("Orders").Version()
-
-	// Mutations after the watermark: one insert, one update, one delete.
-	if err := db.MustTable("Orders").Insert(rel.Row{
-		rel.NewInt(4), rel.NewString("OPEN"), rel.NewFloat(0.1 + 0.2),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Update("Orders", rel.ColEq("Ordkey", rel.NewInt(1)),
-		map[string]rel.Value{"Status": rel.NewString("SHIPPED")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Delete("Orders", rel.ColEq("Ordkey", rel.NewInt(2))); err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := c.QuerySince("Orders", w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Reset {
-		t.Fatal("expected an incremental delta")
-	}
-	if d.From != w || d.To != db.MustTable("Orders").Version() {
-		t.Fatalf("delta range [%d,%d]", d.From, d.To)
-	}
-	if d.Inserts.Len() != 1 || d.Inserts.Get(0, "Ordkey").Int() != 4 {
-		t.Fatalf("inserts: %v", d.Inserts)
-	}
-	// Float bits survive the wire exactly (0.1+0.2 != 0.3 in binary).
-	if got := d.Inserts.Get(0, "Total").Float(); got != 0.1+0.2 {
-		t.Fatalf("float bits lost: %v", got)
-	}
-	if d.Updates.Len() != 1 || d.Updates.Get(0, "Status").Str() != "SHIPPED" {
-		t.Fatalf("updates: %v", d.Updates)
-	}
-	if d.Deletes.Len() != 1 || d.Deletes.Get(0, "Ordkey").Int() != 2 {
-		t.Fatalf("deletes: %v", d.Deletes)
-	}
-
-	// A truncated table refuses the stale watermark with a full reset.
-	db.MustTable("Orders").Truncate()
-	d2, err := c.QuerySince("Orders", d.To)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d2.Reset || d2.Inserts.Len() != 0 {
-		t.Fatalf("post-truncate delta: %+v", d2)
-	}
-}

@@ -38,11 +38,10 @@ type Config struct {
 	OnPeriod func(k int, s PeriodStats)
 	// MVCheckEvery > 0 verifies every N-th period (after its streams
 	// complete) that each stored OrdersMV equals a from-scratch recompute
-	// of the view — the guard rail for incremental maintenance. The
-	// recompute is a typed fold of Orders into (count, sum) per group,
-	// compared exactly (bit-equal sums) against every stored row; it
-	// shares no code with the refresh procedure it guards. A mismatch
-	// aborts the run.
+	// of the view. The recompute is a typed fold of Orders into (count,
+	// sum) per group, compared exactly (bit-equal sums) against every
+	// stored row; it shares no code with the refresh procedure it guards.
+	// A mismatch aborts the run.
 	MVCheckEvery int
 	// Log, when non-nil, observes dispatches, acknowledgements and
 	// barriers for crash recovery (the WAL tap). The first log error

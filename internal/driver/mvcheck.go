@@ -12,17 +12,15 @@ import (
 	"repro/internal/schema"
 )
 
-// Materialized-view verification: a stored OrdersMV — possibly maintained
-// incrementally across many refreshes — must equal the view recomputed
-// from scratch off the current fact table. The recompute is a typed fold
+// Materialized-view verification: a stored OrdersMV must equal the view
+// recomputed from scratch off the current fact table. The recompute is a typed fold
 // of the Orders scan into one (count, sum) per (Year, Month, Custkey),
 // written here independently of scenario.ComputeOrdersMV and of every
 // relational kernel the refresh procedure uses. Each stored row is then
 // looked up by key and compared exactly: int equality on the count and
 // bit equality on the float sum. The fold sums Totalprice from 0.0 in scan
-// order, the IEEE operation sequence of the recompute (and of the
-// incremental fold designed to replay it), so the check is insensitive to
-// physical row order but exact on every value. A message is rendered only
+// order, the IEEE operation sequence of the recompute, so the check is
+// insensitive to physical row order but exact on every value. A message is rendered only
 // for a mismatch.
 
 // mvSystems are the systems carrying an OrdersMV.

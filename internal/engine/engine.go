@@ -81,16 +81,6 @@ type Options struct {
 	// circuit breaker. Zero policy fields fall back to fault
 	// defaults.
 	Resilience *fault.Policy
-	// Incremental switches the data-intensive group C/D processes to
-	// their delta-driven variants: watermarked extraction (QuerySince),
-	// algebraic OrdersMV maintenance, and region-partitioned mart
-	// refreshes that skip untouched marts. Extraction watermarks persist
-	// in the engine across process instances and periods; a watermark the
-	// source can no longer serve degrades that extraction to a full
-	// snapshot, so results are identical either way. Off for the
-	// federated reference engine (the paper's System A re-extracts
-	// everything), on for the optimized presets.
-	Incremental bool
 	// Columnar routes eligible dataset operators through the vectorized
 	// columnar kernels (typed column slices + validity bitmaps) instead of
 	// the row-at-a-time kernels. Results are bit-identical either way —
@@ -101,8 +91,8 @@ type Options struct {
 	Columnar bool
 	// Shards > 0 partitions the scenario by business region: each shard
 	// runs its region's group A/B processes, consolidation extraction and
-	// mart refresh on an independent child engine (own worker pool, plan
-	// cache and extraction watermarks), while the warehouse is fed through
+	// mart refresh on an independent child engine (own worker pool and
+	// plan cache), while the warehouse is fed through
 	// a deterministic cross-shard merge barrier that folds the region
 	// batches in the fixed schema.Regions order. The final state is
 	// byte-identical for every shard count (see shard.go). At most one
@@ -132,8 +122,6 @@ type Engine struct {
 	workers  chan struct{} // worker-pool semaphore (nil when unbounded)
 
 	resilient *fault.Resilient // non-nil when Options.Resilience is set
-
-	wm *watermarkStore // extraction watermarks (nil unless Incremental)
 
 	layoutMu sync.Mutex
 	layouts  map[string]LayoutCount // per-operator layout statistics
@@ -210,9 +198,6 @@ func New(name string, opts Options, defs *processes.Definitions, ext mtm.Externa
 	if opts.BatchSize > 1 {
 		e.batchers = make(map[string]*batcher)
 	}
-	if opts.Incremental {
-		e.wm = newWatermarkStore()
-	}
 	if opts.QueueTrigger {
 		if err := e.setupQueues(); err != nil {
 			return nil, err
@@ -262,28 +247,6 @@ func (e *Engine) SetResilience(p *fault.Policy, rec fault.Recorder) {
 
 // Resilient returns the resilience wrapper (nil when resilience is off).
 func (e *Engine) Resilient() *fault.Resilient { return e.resilient }
-
-// SetIncremental overrides the Options.Incremental preset — the `-incremental`
-// flag's hook. Call before the first Execute; the switch is not
-// synchronized with in-flight instances. The watermark store survives
-// toggles: turning incremental off merely stops consulting it (the full
-// variants never do), and turning it back on resumes from the watermarks
-// already advanced instead of silently re-extracting every source from
-// scratch. Only the very first enable starts with fresh watermarks.
-func (e *Engine) SetIncremental(on bool) {
-	e.opts.Incremental = on
-	if on && e.wm == nil {
-		e.wm = newWatermarkStore()
-	}
-	if e.shards != nil {
-		for _, c := range e.shards.children {
-			c.SetIncremental(on)
-		}
-		// The shard process variants are built for one maintenance mode;
-		// rebuild them so the toggle reaches the C/D streams.
-		e.shards.rebuildVariants(on)
-	}
-}
 
 // SetColumnar overrides the Options.Columnar preset — the `-columnar`
 // flag's hook. Call before the first Execute; the switch is not
@@ -475,7 +438,7 @@ func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 func NewPipeline(defs *processes.Definitions, ext mtm.External, mon *monitor.Monitor) (*Engine, error) {
 	return New("pipeline", Options{
 		PlanCache: true, Materialize: false, QueueTrigger: false,
-		Parallelism: DefaultParallelism(), Incremental: true, Columnar: true,
+		Parallelism: DefaultParallelism(), Columnar: true,
 	}, defs, ext, mon)
 }
 
@@ -490,7 +453,7 @@ const DefaultEAIWorkers = 4
 func NewEAI(defs *processes.Definitions, ext mtm.External, mon *monitor.Monitor) (*Engine, error) {
 	return New("eai", Options{
 		PlanCache: true, QueueTrigger: true, MaxWorkers: DefaultEAIWorkers,
-		Parallelism: DefaultParallelism(), Incremental: true, Columnar: true,
+		Parallelism: DefaultParallelism(), Columnar: true,
 	}, defs, ext, mon)
 }
 
@@ -504,7 +467,7 @@ const DefaultETLBatch = 8
 func NewETL(defs *processes.Definitions, ext mtm.External, mon *monitor.Monitor) (*Engine, error) {
 	return New("etl", Options{
 		PlanCache: true, BatchSize: DefaultETLBatch,
-		Parallelism: DefaultParallelism(), Incremental: true, Columnar: true,
+		Parallelism: DefaultParallelism(), Columnar: true,
 	}, defs, ext, mon)
 }
 
@@ -583,7 +546,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, processID string, input []b
 			return err
 		}
 	}
-	p := e.defs.Variant(processID, e.opts.Incremental)
+	p := e.defs.ByID(processID)
 	if p == nil {
 		return fmt.Errorf("engine: unknown process %q", processID)
 	}
@@ -733,14 +696,6 @@ func (e *Engine) runInstance(goctx context.Context, p *mtm.Process, input *mtm.M
 	if e.opts.Columnar {
 		ctx.SetColumnar(true)
 		ctx.SetLayoutObserver(e.recordLayout)
-	}
-	if e.opts.Incremental && e.wm != nil {
-		ctx.SetWatermarks(e.wm)
-		period := 0
-		if rec != nil {
-			period = rec.Period()
-		}
-		ctx.SetDeltaRecorder(e.mon.Incremental().ForPeriod(period))
 	}
 	return mtm.Run(pl.process, ctx)
 }

@@ -36,7 +36,6 @@ func TestErrorParity(t *testing.T) {
 		want                string
 	}{
 		{"dbproto", "query", malformed, parseErr},
-		{"dbproto", "querysince", malformed, parseErr},
 		{"dbproto", "insert", malformed, parseErr},
 		{"dbproto", "upsert", malformed, parseErr},
 		{"dbproto", "delete", malformed, parseErr},
@@ -46,7 +45,6 @@ func TestErrorParity(t *testing.T) {
 		{"dbproto", "restore", malformed, parseErr},
 
 		{"dbproto", "query", wrongRoot, "400 dbproto: query expects a Query document"},
-		{"dbproto", "querysince", wrongRoot, "400 dbproto: querysince expects a QuerySince document"},
 		{"dbproto", "insert", wrongRoot, "400 dbproto: load expects a ResultSet document"},
 		{"dbproto", "upsert", wrongRoot, "400 dbproto: load expects a ResultSet document"},
 		{"dbproto", "delete", wrongRoot, "400 dbproto: delete expects a Delete document"},
@@ -55,12 +53,7 @@ func TestErrorParity(t *testing.T) {
 		{"dbproto", "snapshot", wrongRoot, "400 dbproto: snapshot expects a Snapshot document"},
 		{"dbproto", "restore", wrongRoot, "400 dbproto: restore expects a Restore document"},
 
-		{"dbproto", "querysince", `<QuerySince since="x" table="T"></QuerySince>`,
-			`400 dbproto: querysince: bad since attribute: strconv.ParseUint: parsing "x": invalid syntax`},
-		{"dbproto", "querysince", `<QuerySince table="T"></QuerySince>`,
-			`400 dbproto: querysince: bad since attribute: strconv.ParseUint: parsing "": invalid syntax`},
 		{"dbproto", "query", `<Query table="Nope"></Query>`, "400 relational: no table CDB.Nope"},
-		{"dbproto", "querysince", `<QuerySince since="0" table="Nope"></QuerySince>`, "400 relational: no table CDB.Nope"},
 		{"dbproto", "delete", `<Delete table="T" where="K ="></Delete>`,
 			`400 sql: expected literal at 3, got "" (in predicate "K =")`},
 		{"dbproto", "update", `<Update table="T"><Set col="Z" type="BIGINT">1</Set></Update>`,
@@ -111,7 +104,7 @@ func TestErrorParity(t *testing.T) {
 	for _, tr := range transports {
 		ops := []string{"query", "update"}
 		if tr.name == "dbproto" {
-			ops = []string{"query", "querysince", "insert", "upsert", "delete", "update", "call", "snapshot", "restore"}
+			ops = []string{"query", "insert", "upsert", "delete", "update", "call", "snapshot", "restore"}
 		}
 		base := urls[tr.name]
 		host := strings.TrimPrefix(base, "http://")

@@ -8,14 +8,9 @@ import (
 	"time"
 )
 
-// incrRecordProcess marks the per-period incremental audit rows in a
-// records CSV; it cannot collide with a real process id.
-const incrRecordProcess = "#incr"
-
 // ReadRecordsCSV parses a raw per-instance records CSV (the format written
 // by WriteRecordsCSV) into a Monitor ready for Analyze. The offline path
-// of the dipmon tool uses this to analyze a finished run. "#incr" audit
-// rows restore the per-period incremental-extraction counts.
+// of the dipmon tool uses this to analyze a finished run.
 func ReadRecordsCSV(r io.Reader, timeScale float64) (*Monitor, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -33,19 +28,6 @@ func ReadRecordsCSV(r io.Reader, timeScale float64) (*Monitor, error) {
 		period, err := strconv.Atoi(row[1])
 		if err != nil {
 			return nil, fmt.Errorf("monitor: row %d period: %w", i+2, err)
-		}
-		if row[0] == incrRecordProcess {
-			counts := make([]uint64, 4)
-			for j, idx := range []int{2, 3, 4, 5} {
-				v, err := strconv.ParseUint(row[idx], 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("monitor: row %d field %d: %w", i+2, idx, err)
-				}
-				counts[j] = v
-			}
-			m.inc.addPeriod(PeriodDelta{Period: period,
-				Deltas: counts[0], Rows: counts[1], Resets: counts[2], Skips: counts[3]})
-			continue
 		}
 		ints := make([]int64, 5)
 		for j, idx := range []int{2, 3, 4, 5, 6} {

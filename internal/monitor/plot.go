@@ -71,10 +71,7 @@ func (r *Report) WriteGnuplotDat(w io.Writer) error {
 }
 
 // WriteRecordsCSV dumps the raw per-instance records (for the Monitor
-// tool's offline analysis path). Incremental runs append one "#incr" row
-// per benchmark period carrying the delta audit (deltas, rows, resets,
-// skips in the four count columns), so the offline analysis can report
-// per-period delta sizes too.
+// tool's offline analysis path).
 func (m *Monitor) WriteRecordsCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "process,period,start_unix_ns,end_unix_ns,cc_ns,cm_ns,cp_ns,avg_concurrency,failed"); err != nil {
 		return err
@@ -88,12 +85,6 @@ func (m *Monitor) WriteRecordsCSV(w io.Writer) error {
 			rec.Process, rec.Period, rec.Start.UnixNano(), rec.End.UnixNano(),
 			rec.Cc.Nanoseconds(), rec.Cm.Nanoseconds(), rec.Cp.Nanoseconds(),
 			rec.AvgConc, failed); err != nil {
-			return err
-		}
-	}
-	for _, p := range m.inc.Periods() {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,0,0,0\n",
-			incrRecordProcess, p.Period, p.Deltas, p.Rows, p.Resets, p.Skips); err != nil {
 			return err
 		}
 	}

@@ -82,42 +82,6 @@ type External interface {
 	Send(ctx context.Context, system string, msg []byte) error
 }
 
-// DeltaSource is the optional extension of External that serves net
-// change sets (OpQuerySince). Gateways that cannot — plain web services,
-// test fakes — simply don't implement it; the INVOKE falls back to a
-// full query presented as a Reset delta, so incremental pipelines work,
-// just without the savings.
-type DeltaSource interface {
-	// QuerySince reads the net changes of a table after the watermark.
-	// An unserveable watermark yields a Reset delta with a full
-	// snapshot, never an error and never a silently empty delta.
-	QuerySince(ctx context.Context, system, table string, since uint64) (*rel.Delta, error)
-}
-
-// Watermarks stores extraction watermarks (system.table -> last
-// extracted row version) across process instances. The engine provides a
-// store that lives as long as the engine itself, so watermarks persist
-// across benchmark periods. Implementations must be safe for concurrent
-// use.
-type Watermarks interface {
-	// Watermark returns the stored version for the key (0 if none).
-	Watermark(key string) uint64
-	// SetWatermark stores the version for the key.
-	SetWatermark(key string, v uint64)
-}
-
-// DeltaRecorder observes incremental-extraction outcomes (the monitor
-// implements it). Implementations must be safe for concurrent use.
-type DeltaRecorder interface {
-	// RecordDelta notes one delta extraction: the source key, the number
-	// of row images served and whether the watermark failed into a full
-	// reset snapshot.
-	RecordDelta(source string, rows int, reset bool)
-	// RecordRegionSkip notes a region whose mart refresh was skipped
-	// because its delta was empty.
-	RecordRegionSkip(region string)
-}
-
 // Context is the execution state of one process instance: the variable
 // bindings msg1..msgN, the external gateway, the cost recorder and the
 // triggering input message (event type E1). It is safe for concurrent use
@@ -132,8 +96,6 @@ type Context struct {
 	par       int
 	columnar  bool
 	layoutObs func(op string, l rel.Layout)
-	wm        Watermarks
-	deltas    DeltaRecorder
 	sched     *sched.Handle
 	goctx     context.Context
 	mu        sync.Mutex
@@ -204,21 +166,6 @@ func (c *Context) recordLayout(op string, l rel.Layout) {
 	}
 }
 
-// SetWatermarks attaches the engine's watermark store; without one,
-// OpQuerySince extracts from version 0 (a full delta). Set once before
-// Run — it is not synchronized.
-func (c *Context) SetWatermarks(wm Watermarks) { c.wm = wm }
-
-// Watermarks returns the attached store (nil if none).
-func (c *Context) Watermarks() Watermarks { return c.wm }
-
-// SetDeltaRecorder attaches the observer for incremental extractions.
-// Set once before Run — it is not synchronized.
-func (c *Context) SetDeltaRecorder(r DeltaRecorder) { c.deltas = r }
-
-// DeltaRecorder returns the attached observer (nil if none).
-func (c *Context) DeltaRecorder() DeltaRecorder { return c.deltas }
-
 // Get returns the variable binding, or nil.
 func (c *Context) Get(name string) *Message {
 	c.mu.Lock()
@@ -267,7 +214,7 @@ func (c *Context) XML(name string) ([]byte, error) {
 		return nil, fmt.Errorf("mtm: variable %q does not hold an XML document", name)
 	}
 	b := m.Doc.AppendXML(nil)
-	c.vars[name] = &Message{Doc: m.Doc, XML: b, Data: m.Data, Delta: m.Delta}
+	c.vars[name] = &Message{Doc: m.Doc, XML: b, Data: m.Data}
 	return b, nil
 }
 

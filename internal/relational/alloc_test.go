@@ -161,13 +161,12 @@ func TestHashJoinVecAllocBytes(t *testing.T) {
 
 // A Delete without an AFTER DELETE trigger keeps no list of the rows it
 // removed: its allocation count does not grow with the rows deleted, and
-// with the change journal off its bytes are the free list's.
+// its bytes are the free list's.
 func TestDeleteWithoutTriggerAllocBudget(t *testing.T) {
 	const budget = 20
 	all := PredicateFunc("all", func(*Schema, Row) (bool, error) { return true, nil })
 	for _, n := range []int{1024, 4096} {
 		tbl := NewTable("T", allocRows(n).Schema())
-		tbl.SetJournalLimit(0)
 		if err := tbl.InsertAll(allocRows(n)); err != nil {
 			t.Fatal(err)
 		}

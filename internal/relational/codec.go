@@ -12,10 +12,7 @@ const snapshotMagic = "DIPDBS1\n"
 
 // Snapshot serializes the database's full contents to a self-describing
 // binary blob: for every table its name, schema signature, version
-// counter and the live rows in slot order. Journals are deliberately NOT
-// serialized — a restored table starts with an empty journal, and any
-// stale extraction watermark degrades to a full-snapshot Reset delta,
-// which PR 4 pins as byte-identical to the incremental path.
+// counter and the live rows in slot order.
 func (db *Database) Snapshot() ([]byte, error) {
 	names := db.TableNames()
 	buf := append([]byte(nil), snapshotMagic...)
@@ -110,10 +107,7 @@ func (t *Table) snapshotRows() ([]Row, uint64) {
 // RestoreSnapshot replaces the table's contents with the given rows (in
 // the order they will occupy slots), pinning the version counter to the
 // checkpointed value. The primary key and all secondary indexes are
-// rebuilt; the change journal restarts empty just past the restored
-// version, so a pre-crash watermark that survived observes
-// ErrDeltaUnavailable and falls back to a full-snapshot Reset delta.
-// Triggers do not fire: a restore re-materializes state, it is not new
+// rebuilt. Triggers do not fire: a restore re-materializes state, it is not new
 // data flowing through the integration processes.
 func (t *Table) RestoreSnapshot(rows []Row, version uint64) error {
 	for i, row := range rows {
@@ -144,8 +138,6 @@ func (t *Table) RestoreSnapshot(rows []Row, version uint64) error {
 	}
 	t.version = version
 	t.snap = nil
-	t.journal = t.journal[:0]
-	t.journalStart = version + 1
 	return nil
 }
 

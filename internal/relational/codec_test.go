@@ -118,44 +118,6 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRestoreResetsJournal(t *testing.T) {
-	src := snapshotTestDB(t)
-	blob, err := src.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := snapshotTestDB(t)
-	if _, err := dst.Restore(blob); err != nil {
-		t.Fatal(err)
-	}
-	tb := dst.MustTable("Items")
-	v := tb.Version()
-	// A watermark from before the restored version cannot be served
-	// incrementally; the reader must get the loud delta-unavailable error
-	// and fall back to a Reset snapshot.
-	if _, err := tb.ChangesSince(v - 1); err == nil {
-		t.Fatal("pre-restore watermark must not be served from an empty journal")
-	}
-	d, err := tb.DeltaSince(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Reset {
-		t.Fatal("watermark at the restored version must read an empty incremental delta")
-	}
-	// Post-restore changes journal normally.
-	if err := tb.Insert(Row{NewInt(5000), NewString("j"), NewFloat(0), NewBool(true), NewTime(time.Unix(0, 3))}); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := tb.DeltaSince(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Reset || d2.Inserts.Len() != 1 {
-		t.Fatalf("post-restore delta: reset=%v inserts=%d", d2.Reset, d2.Inserts.Len())
-	}
-}
-
 func TestRestoreRejectsDrift(t *testing.T) {
 	src := snapshotTestDB(t)
 	blob, err := src.Snapshot()

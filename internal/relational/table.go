@@ -54,12 +54,8 @@ type Table struct {
 	indexes  []hashIndex   // looked up by name (index)
 	triggers map[TriggerEvent][]Trigger
 
-	// Change-data capture (journal.go): version counts every mutation;
-	// journal holds the entries for versions journalStart..version.
-	version      uint64
-	journal      []Change
-	journalStart uint64 // version of journal[0]
-	journalLimit int    // bound on retained entries
+	// version counts every mutation. Checkpoint snapshots carry it.
+	version uint64
 
 	// snap caches the last Scan materialization; any mutation clears it.
 	// Relations are immutable throughout the engine, so handing every
@@ -87,11 +83,9 @@ type hashIndex struct {
 // NewTable creates an empty table.
 func NewTable(name string, schema *Schema) *Table {
 	return &Table{
-		name:         name,
-		schema:       schema,
-		triggers:     make(map[TriggerEvent][]Trigger),
-		journalStart: 1,
-		journalLimit: DefaultJournalLimit,
+		name:     name,
+		schema:   schema,
+		triggers: make(map[TriggerEvent][]Trigger),
 	}
 }
 
@@ -208,10 +202,9 @@ func (t *Table) InsertAll(r *Relation) error {
 	// per-row slice growth or hash-table splits: the row store, the PK
 	// and secondary indexes of a table's first load (a truncated table
 	// keeps the capacity its indexes grew to, so the mart-rebuild and
-	// staging pattern of truncate-then-bulk-load reuses it), and the
-	// change journal. slices.Grow reserves with append's geometric
-	// growth, so a load of many small batches copies each slice amortized
-	// O(1) times, not once per batch.
+	// staging pattern of truncate-then-bulk-load reuses it). slices.Grow
+	// reserves with append's geometric growth, so a load of many small
+	// batches copies each slice amortized O(1) times, not once per batch.
 	if need := n - len(t.free); need > 0 {
 		t.rows = slices.Grow(t.rows, need)
 	}
@@ -220,9 +213,6 @@ func (t *Table) InsertAll(r *Relation) error {
 	}
 	for i := range t.indexes {
 		t.indexes[i].slots.reserve(n)
-	}
-	if reserve := min(n, t.journalLimit); reserve > 0 {
-		t.journal = slices.Grow(t.journal, reserve)
 	}
 	for i := 0; i < n; i++ {
 		row := r.Row(i)
@@ -251,8 +241,8 @@ func (t *Table) insertLocked(row Row) error {
 }
 
 // fileLocked stores a row whose primary key (hashing to h) is free: it
-// claims a slot, files the slot in the PK and secondary indexes and
-// journals the insert. Caller holds mu.
+// claims a slot and files the slot in the PK and secondary indexes.
+// Caller holds mu.
 func (t *Table) fileLocked(h uint64, row Row) {
 	slot := t.claimSlot(row)
 	if t.schema.HasKey() {
@@ -260,7 +250,7 @@ func (t *Table) fileLocked(h uint64, row Row) {
 	}
 	t.indexRow(slot, row)
 	t.inserts++
-	t.logChange(ChangeInsert, nil, row)
+	t.mutated()
 }
 
 // keySlot returns the slot of the stored row whose primary key equals
@@ -292,7 +282,7 @@ func (t *Table) Upsert(row Row) error {
 		t.rows[slot] = row
 		t.indexRow(slot, row)
 		t.updates++
-		t.logChange(ChangeUpdate, old, row)
+		t.mutated()
 		trs = t.triggers[OnUpdate]
 	} else {
 		t.fileLocked(h, row)
@@ -346,7 +336,7 @@ func (t *Table) Delete(pred Predicate) (int, error) {
 		t.rows[slot] = nil
 		t.free = append(t.free, slot)
 		t.deletes++
-		t.logChange(ChangeDelete, row, nil)
+		t.mutated()
 		n++
 		if len(trs) > 0 {
 			removed = append(removed, row)
@@ -408,7 +398,7 @@ func (t *Table) Update(pred Predicate, fn func(Row) Row) (int, error) {
 		t.rows[slot] = nr
 		t.indexRow(slot, nr)
 		t.updates++
-		t.logChange(ChangeUpdate, row, nr)
+		t.mutated()
 		changes = append(changes, change{row, nr})
 		return nil
 	}
@@ -456,20 +446,22 @@ func (t *Table) Truncate() {
 	for i := range t.indexes {
 		t.indexes[i].slots.clear()
 	}
-	// The reset is one versioned change: stale watermarks must never
-	// numerically match the post-truncate version and silently read an
-	// empty delta. Earlier journal entries describe rows that no longer
-	// exist, so they are dropped and replaced by a single truncate marker
-	// that ChangesSince refuses to serve across.
+	t.mutated()
+}
+
+// mutated counts one mutation and drops the cached scan snapshot. Caller
+// holds t.mu for writing.
+func (t *Table) mutated() {
 	t.version++
 	t.snap = nil
-	t.journal = t.journal[:0]
-	if t.journalLimit > 0 {
-		t.journal = append(t.journal, Change{Kind: ChangeTruncate})
-		t.journalStart = t.version
-	} else {
-		t.journalStart = t.version + 1
-	}
+}
+
+// Version returns the table's mutation count: one per insert, update,
+// delete and truncate. It never decreases.
+func (t *Table) Version() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.version
 }
 
 // Scan materializes the current contents as an immutable Relation. The

@@ -3,9 +3,12 @@ package relational
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func newOrdersTable() *Table {
@@ -413,19 +416,18 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	}
 }
 
-// TestInsertAllAmortizedGrowth loads 1,000 one-row batches into a keyed,
-// journaled table. The row store and the journal must grow geometrically
-// (a few dozen reallocations, not one per batch), and the table must end
-// up exactly like a twin loaded row at a time — rows in slot order, PK
-// lookups, journal, and free-slot reuse after deletes.
+// TestInsertAllAmortizedGrowth loads 1,000 one-row batches into a keyed
+// table. The row store must grow geometrically (a few dozen
+// reallocations, not one per batch), and the table must end up exactly
+// like a twin loaded row at a time — rows in slot order, PK lookups,
+// version, and free-slot reuse after deletes.
 func TestInsertAllAmortizedGrowth(t *testing.T) {
 	const batches = 1000
 	bulk, twin := newOrdersTable(), newOrdersTable()
 	row := func(i int) Row {
 		return Row{NewInt(int64(i)), NewInt(int64(i % 7)), NewString("OPEN"), NewFloat(float64(i) / 3)}
 	}
-	rowsCap, journalCap := cap(bulk.rows), cap(bulk.journal)
-	rowsGrew, journalGrew := 0, 0
+	rowsCap, rowsGrew := cap(bulk.rows), 0
 	for i := 0; i < batches; i++ {
 		if err := bulk.InsertAll(MustRelation(bulk.Schema(), []Row{row(i)})); err != nil {
 			t.Fatal(err)
@@ -436,13 +438,10 @@ func TestInsertAllAmortizedGrowth(t *testing.T) {
 		if c := cap(bulk.rows); c != rowsCap {
 			rowsGrew, rowsCap = rowsGrew+1, c
 		}
-		if c := cap(bulk.journal); c != journalCap {
-			journalGrew, journalCap = journalGrew+1, c
-		}
 	}
-	if rowsGrew > 25 || journalGrew > 25 {
-		t.Errorf("%d one-row batches reallocated the row store %d times and the journal %d times, want <= 25 each",
-			batches, rowsGrew, journalGrew)
+	if rowsGrew > 25 {
+		t.Errorf("%d one-row batches reallocated the row store %d times, want <= 25",
+			batches, rowsGrew)
 	}
 	assertSameTable(t, bulk, twin)
 
@@ -476,7 +475,7 @@ func TestInsertAllAmortizedGrowth(t *testing.T) {
 }
 
 // assertSameTable checks that two tables hold the same rows in the same
-// slot order, answer the same PK lookups and carry the same journal.
+// slot order, answer the same PK lookups and carry the same version.
 func assertSameTable(t *testing.T, got, want *Table) {
 	t.Helper()
 	g, w := got.Scan(), want.Scan()
@@ -484,31 +483,112 @@ func assertSameTable(t *testing.T, got, want *Table) {
 		t.Fatalf("scan: %d rows, want %d", g.Len(), w.Len())
 	}
 	for i := 0; i < g.Len(); i++ {
-		if rowChanged(g.Row(i), w.Row(i)) {
+		if !sameRow(g.Row(i), w.Row(i)) {
 			t.Fatalf("scan row %d: %v, want %v", i, g.Row(i), w.Row(i))
 		}
-		if l := got.Lookup(w.Row(i)[0]); rowChanged(l, w.Row(i)) {
+		if l := got.Lookup(w.Row(i)[0]); !sameRow(l, w.Row(i)) {
 			t.Fatalf("lookup %v: %v, want %v", w.Row(i)[0], l, w.Row(i))
 		}
 	}
 	if gv, wv := got.Version(), want.Version(); gv != wv {
 		t.Fatalf("version %d, want %d", gv, wv)
 	}
-	gc, err := got.ChangesSince(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, err := want.ChangesSince(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gc.Changes) != len(wc.Changes) {
-		t.Fatalf("journal: %d changes, want %d", len(gc.Changes), len(wc.Changes))
-	}
-	for i, c := range gc.Changes {
-		wc := wc.Changes[i]
-		if c.Kind != wc.Kind || rowChanged(c.Old, wc.Old) || rowChanged(c.New, wc.New) {
-			t.Fatalf("journal entry %d: %+v, want %+v", i, c, wc)
+}
+
+func sameRow(a, b Row) bool { return slices.EqualFunc(a, b, Value.Equal) }
+
+// TestScanSnapshotCache pins the copy-on-write contract: repeated scans
+// of a quiet table share one materialization, and any mutation swaps in
+// a fresh one without disturbing handed-out snapshots.
+func TestScanSnapshotCache(t *testing.T) {
+	tab := newOrdersTable()
+	row := func(k int64) Row { return Row{NewInt(k), NewInt(k % 3), NewString("a"), NewFloat(float64(k))} }
+	for k := int64(0); k < 4; k++ {
+		if err := tab.Insert(row(k)); err != nil {
+			t.Fatal(err)
 		}
 	}
+	s1 := tab.Scan()
+	s2 := tab.Scan()
+	if s1 != s2 {
+		t.Fatal("scans of an unchanged table should share the cached snapshot")
+	}
+	all, err := tab.SelectWhere(True())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all != s1 {
+		t.Fatal("SelectWhere(True) should reuse the cached snapshot")
+	}
+	if err := tab.Insert(row(100)); err != nil {
+		t.Fatal(err)
+	}
+	s3 := tab.Scan()
+	if s3 == s1 {
+		t.Fatal("mutation must invalidate the cached snapshot")
+	}
+	if s1.Len() != 4 || s3.Len() != 5 {
+		t.Fatalf("old snapshot must stay frozen: len %d/%d", s1.Len(), s3.Len())
+	}
+}
+
+// TestReplacedRowsAreReleased stores rows and replaces them three ways:
+// Truncate, a Delete without triggers and an Upsert overwrite. Once the
+// table has moved on, none of the replaced rows may stay reachable from
+// it. InsertAll stores the test-built rows themselves, and a finalizer on
+// each row's first cell (the start of its backing array) counts the rows
+// the collector has freed.
+func TestReplacedRowsAreReleased(t *testing.T) {
+	const n = 64
+	cases := []struct {
+		name     string
+		replace  func(*Table) error
+		released int // rows the replacement must free
+	}{
+		{"truncate", func(tbl *Table) error { tbl.Truncate(); return nil }, n},
+		{"delete", func(tbl *Table) error {
+			_, err := tbl.Delete(Cmp("Ordkey", OpLt, NewInt(n/2)))
+			return err
+		}, n / 2},
+		{"upsert", func(tbl *Table) error {
+			for k := int64(0); k < n/4; k++ {
+				if err := tbl.Upsert(Row{NewInt(k), NewInt(0), NewString("NEW"), NewFloat(0)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, n / 4},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var freed atomic.Int64
+			tbl := newOrdersTable()
+			if err := tbl.InsertAll(trackedRows(tbl.Schema(), n, &freed)); err != nil {
+				t.Fatal(err)
+			}
+			_ = tbl.Scan() // a cached snapshot must not pin the rows either
+			if err := c.replace(tbl); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 100 && freed.Load() < int64(c.released); i++ {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			if got := freed.Load(); got != int64(c.released) {
+				t.Errorf("%s freed %d of the %d replaced rows (%d stored)", c.name, got, c.released, n)
+			}
+			runtime.KeepAlive(tbl)
+		})
+	}
+}
+
+// trackedRows builds n fresh order rows whose first cells carry a
+// finalizer that counts into freed.
+func trackedRows(s *Schema, n int, freed *atomic.Int64) *Relation {
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{NewInt(int64(i)), NewInt(int64(i % 3)), NewString("OPEN"), NewFloat(float64(i))}
+		runtime.SetFinalizer(&rows[i][0], func(*Value) { freed.Add(1) })
+	}
+	return MustRelation(s, rows)
 }

@@ -60,29 +60,6 @@ func (g *Gateway) Query(ctx context.Context, system, table string, pred rel.Pred
 	return conn.Query(table, pred)
 }
 
-// QuerySince implements mtm.DeltaSource: it reads the net changes of a
-// table after the watermark. Web services have no change journal, so the
-// degraded answer is a full fetch marked Reset with version 0 — the
-// consumer rebuilds from scratch and never advances past the full path.
-func (g *Gateway) QuerySince(ctx context.Context, system, table string, since uint64) (*rel.Delta, error) {
-	if IsWebService(system) {
-		r, err := g.s.WSClient(system).QueryRelationContext(ctx, table)
-		if err != nil {
-			return nil, err
-		}
-		return &rel.Delta{Table: table, From: since, Reset: true,
-			Inserts: r, Updates: r.Empty(), Deletes: r.Empty()}, nil
-	}
-	if g.s.remote != nil {
-		return g.s.dbClient(system).QuerySinceContext(ctx, table, since)
-	}
-	conn, err := g.esConn(ctx, system)
-	if err != nil {
-		return nil, err
-	}
-	return conn.QuerySince(table, since)
-}
-
 // FetchXML implements mtm.External.
 func (g *Gateway) FetchXML(ctx context.Context, system, table string) ([]byte, error) {
 	if IsWebService(system) {

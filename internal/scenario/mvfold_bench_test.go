@@ -45,7 +45,7 @@ func BenchmarkMVFold(b *testing.B) {
 			db.SetColumnar(mode == "columnar")
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, _, err := ComputeOrdersMV(db)
+				out, err := ComputeOrdersMV(db)
 				if err != nil || out.Len() == 0 {
 					b.Fatal(err)
 				}

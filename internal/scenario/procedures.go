@@ -1,10 +1,6 @@
 package scenario
 
-import (
-	"sync"
-
-	rel "repro/internal/relational"
-)
+import rel "repro/internal/relational"
 
 // Stored procedures of the consolidation layer. Process P12 invokes
 // sp_runMasterDataCleansing, P13 invokes sp_runMovementDataCleansing and
@@ -18,12 +14,9 @@ func registerCDBProcedures(db *rel.Database) {
 }
 
 // registerMVProcedure installs the OrdersMV refresh on a warehouse or
-// data-mart instance. Each instance gets its own refresher so the MV
-// watermark lives server-side, next to the view it protects — the same
-// state works for the in-process and the remote transport.
+// data-mart instance.
 func registerMVProcedure(db *rel.Database) {
-	r := &mvRefresher{}
-	db.RegisterProcedure("sp_refreshOrdersMV", r.refresh)
+	db.RegisterProcedure("sp_refreshOrdersMV", refreshOrdersMV)
 }
 
 // cleansingResult wraps removal counts as a one-row result relation.
@@ -84,92 +77,11 @@ func spRunMovementDataCleansing(db *rel.Database, _ []rel.Value) (*rel.Relation,
 	return cleansingResult(removed)
 }
 
-// mvRefresher maintains OrdersMV on one database instance. A full
-// refresh recomputes the view from the Orders fact table; an incremental
-// refresh (requested with a true boolean argument) applies only the
-// fact-table delta since the last refresh.
-//
-// The incremental path is restricted to insert-only deltas so its result
-// stays byte-identical to a full recompute: the full aggregation folds
-// float sums in table-scan order, and for an append-only fact table the
-// delta's insert order is exactly the tail of that scan order — the
-// stored sum plus the delta prices is the same IEEE operation sequence
-// the recompute would execute. Group rows keep their first-occurrence
-// positions because existing groups are upserted in place and new groups
-// append. Any delta carrying updates or deletes (or a lost watermark)
-// falls back to the full recompute, keeping correctness unconditional.
-type mvRefresher struct {
-	mu        sync.Mutex
-	primed    bool   // the MV reflects Orders as of watermark
-	watermark uint64 // Orders row version behind the current MV
-}
-
-// refresh implements sp_refreshOrdersMV. args[0] (optional, boolean)
-// requests incremental maintenance.
-func (rf *mvRefresher) refresh(db *rel.Database, args []rel.Value) (*rel.Relation, error) {
-	incremental := len(args) > 0 && !args[0].IsNull() && args[0].Type() == rel.TypeBool && args[0].Bool()
-	rf.mu.Lock()
-	defer rf.mu.Unlock()
-	if incremental && rf.primed {
-		d, err := db.MustTable("Orders").DeltaSince(rf.watermark)
-		if err == nil && d.Updates.Len() == 0 && d.Deletes.Len() == 0 {
-			if res, aerr := rf.applyInserts(db, d); aerr == nil {
-				return res, nil
-			} else {
-				return nil, aerr
-			}
-		}
-		// Watermark lost (truncate, eviction) or non-append delta: the
-		// algebraic path cannot guarantee bit-identity, recompute.
-	}
-	return rf.recompute(db)
-}
-
-// applyInserts folds an insert-only fact delta into the stored view.
-// Caller holds rf.mu.
-func (rf *mvRefresher) applyInserts(db *rel.Database, d *rel.Delta) (*rel.Relation, error) {
-	mv := db.MustTable("OrdersMV")
-	ins := d.Inserts
-	s := ins.Schema()
-	var (
-		dateOrd  = s.MustOrdinal("Orderdate")
-		custOrd  = s.MustOrdinal("Custkey")
-		priceOrd = s.MustOrdinal("Totalprice")
-	)
-	for i := 0; i < ins.Len(); i++ {
-		row := ins.Row(i)
-		dt := row[dateOrd].Time()
-		y := rel.NewInt(int64(dt.Year()))
-		m := rel.NewInt(int64(dt.Month()))
-		ck := row[custOrd]
-		// Mirror the group accumulator exactly: count counts rows, sum
-		// starts at 0.0 and skips NULLs (an all-NULL group is stored as 0
-		// by the full path, which is the float the fold continues from).
-		var cnt int64
-		var sum float64
-		if cur := mv.Lookup(y, m, ck); cur != nil {
-			cnt = cur[3].Int()
-			sum = cur[4].Float()
-		}
-		cnt++
-		if p := row[priceOrd]; !p.IsNull() {
-			sum += p.Float()
-		}
-		if err := mv.Upsert(rel.Row{y, m, ck, rel.NewInt(cnt), rel.NewFloat(sum)}); err != nil {
-			return nil, err
-		}
-	}
-	rf.watermark = d.To
-	return refreshResult(mv.Len(), "incremental", ins.Len())
-}
-
 // ComputeOrdersMV computes the OrdersMV contents from scratch off the
-// database's Orders fact table, returning the view rows (in the stored
-// column order) and the Orders row version they reflect. The full
-// refresh path and the driver's model-vs-stored verification share this
-// single definition of the view.
-func ComputeOrdersMV(db *rel.Database) (*rel.Relation, uint64, error) {
-	orders, version := db.MustTable("Orders").ScanWithVersion()
+// database's Orders fact table, returning the view rows in the stored
+// column order.
+func ComputeOrdersMV(db *rel.Database) (*rel.Relation, error) {
+	orders := db.MustTable("Orders").Scan()
 	// Table scans carry no scheduler attribution; tag the fold's input so
 	// the vectorized fold bills to this instance's fair-share handle.
 	orders = orders.WithPool(db.Scheduler())
@@ -203,12 +115,12 @@ func ComputeOrdersMV(db *rel.Database) (*rel.Relation, uint64, error) {
 		var withTime *rel.Relation
 		withTime, err = orders.ExtendMany(timeCols, timeFn)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		agg, err = withTime.GroupBy(mvGroup, mvAggs)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	as := agg.Schema()
 	var (
@@ -227,17 +139,13 @@ func ComputeOrdersMV(db *rel.Database) (*rel.Relation, uint64, error) {
 		}
 		rows[i] = rel.Row{row[yOrd], row[mOrd], row[cOrd], row[nOrd], sum}
 	}
-	batch, err := rel.NewRelation(db.MustTable("OrdersMV").Schema(), rows)
-	if err != nil {
-		return nil, 0, err
-	}
-	return batch, version, nil
+	return rel.NewRelation(db.MustTable("OrdersMV").Schema(), rows)
 }
 
-// recompute rebuilds the view from scratch and re-arms the watermark.
-// Caller holds rf.mu.
-func (rf *mvRefresher) recompute(db *rel.Database) (*rel.Relation, error) {
-	batch, version, err := ComputeOrdersMV(db)
+// refreshOrdersMV implements sp_refreshOrdersMV: it recomputes the view
+// from the Orders fact table and replaces the stored rows.
+func refreshOrdersMV(db *rel.Database, _ []rel.Value) (*rel.Relation, error) {
+	batch, err := ComputeOrdersMV(db)
 	if err != nil {
 		return nil, err
 	}
@@ -246,21 +154,12 @@ func (rf *mvRefresher) recompute(db *rel.Database) (*rel.Relation, error) {
 	if err := mv.InsertAll(batch); err != nil {
 		return nil, err
 	}
-	rf.primed = true
-	rf.watermark = version
-	return refreshResult(batch.Len(), "full", db.MustTable("Orders").Len())
+	return refreshResult(batch.Len())
 }
 
-// refreshResult renders the refresh outcome: the group count (the
-// historical result contract), the maintenance mode and how many fact
-// rows the refresh had to touch.
-func refreshResult(groups int, mode string, applied int) (*rel.Relation, error) {
-	s := rel.MustSchema([]rel.Column{
-		rel.Col("groups", rel.TypeInt),
-		rel.Col("mode", rel.TypeString),
-		rel.Col("applied", rel.TypeInt),
-	})
-	return rel.NewRelation(s, []rel.Row{{
-		rel.NewInt(int64(groups)), rel.NewString(mode), rel.NewInt(int64(applied)),
-	}})
+// refreshResult wraps the view's group count as a one-row result
+// relation.
+func refreshResult(groups int) (*rel.Relation, error) {
+	s := rel.MustSchema([]rel.Column{rel.Col("groups", rel.TypeInt)})
+	return rel.NewRelation(s, []rel.Row{{rel.NewInt(int64(groups))}})
 }

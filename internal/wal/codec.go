@@ -19,13 +19,6 @@ type Event struct {
 	Failed  bool
 }
 
-// Mark is the payload of Watermark records: one extraction-watermark
-// advance on a source table.
-type Mark struct {
-	Key     string
-	Version uint64
-}
-
 // DLQEntry is the payload of DLQ records.
 type DLQEntry struct {
 	Process string
@@ -147,21 +140,6 @@ func DecodeEvent(b []byte) (Event, error) {
 		Failed:  d.boolean(),
 	}
 	return ev, d.err
-}
-
-// Encode serializes the watermark payload.
-func (m Mark) Encode() []byte {
-	var e enc
-	e.str(m.Key)
-	e.uvarint(m.Version)
-	return e.b
-}
-
-// DecodeMark parses a Mark payload.
-func DecodeMark(b []byte) (Mark, error) {
-	d := dec{b: b}
-	m := Mark{Key: d.str(), Version: d.uvarint()}
-	return m, d.err
 }
 
 // Encode serializes the dead-letter payload.

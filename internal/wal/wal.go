@@ -1,7 +1,6 @@
 // Package wal implements the benchmark's crash-consistency log: an
 // append-only, checksummed write-ahead log recording E1 dispatch/ack
-// events, extraction-watermark advances, dead-letter appends and
-// period/stream barrier markers.
+// events, dead-letter appends and period/stream barrier markers.
 //
 // File layout:
 //
@@ -54,9 +53,10 @@ const (
 	// TypeAck records the completion of a dispatched event (Failed marks
 	// an instance failure). Payload: Event.
 	TypeAck
-	// TypeWatermark records an extraction-watermark advance.
-	// Payload: Mark.
-	TypeWatermark
+	// typeRetired (5) recorded extraction-watermark advances until the
+	// change journal was removed. The number stays taken so that the
+	// types after it keep theirs; Append rejects it.
+	typeRetired
 	// TypeDLQ records a dead-lettered E1 message. Payload: DLQEntry.
 	TypeDLQ
 	// TypeStreamEnd marks a stream's completion (all its instances
@@ -82,8 +82,6 @@ func (t Type) String() string {
 		return "DISPATCH"
 	case TypeAck:
 		return "ACK"
-	case TypeWatermark:
-		return "WATERMARK"
 	case TypeDLQ:
 		return "DLQ"
 	case TypeStreamEnd:
@@ -166,6 +164,9 @@ func newWriter(f *os.File, off int64, syncEvery int) *Writer {
 // Append writes one record and returns the logical offset just past it.
 // Every SyncEvery-th record triggers a flush+fsync (group commit).
 func (w *Writer) Append(t Type, payload []byte) (int64, error) {
+	if t == typeRetired {
+		return 0, fmt.Errorf("wal: record type %d is retired", uint8(t))
+	}
 	if len(payload)+1 > maxRecord {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
 	}

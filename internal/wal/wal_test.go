@@ -21,11 +21,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := Event{Period: 3, Stream: 1, Process: "P04", Seq: 17, Digest: 0xdeadbeefcafe, Failed: true}
-	mk := Mark{Key: "CDB/Customers", Version: 42}
 	dq := DLQEntry{Process: "P08", Period: 2, Cause: "exhausted", Message: "<Order/>"}
 	bn := BarrierNote{Period: 5, Barrier: 2, Manifest: 9}
 	mustAppend(t, w, TypeDispatch, ev.Encode())
-	mustAppend(t, w, TypeWatermark, mk.Encode())
 	mustAppend(t, w, TypeDLQ, dq.Encode())
 	mustAppend(t, w, TypeBarrier, bn.Encode())
 	if err := w.Close(); err != nil {
@@ -39,36 +37,55 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if torn {
 		t.Fatal("clean log reported torn")
 	}
-	if len(recs) != 4 {
-		t.Fatalf("got %d records, want 4", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("got %d records, want 3", len(recs))
 	}
-	if recs[3].End != end {
-		t.Fatalf("last record End %d != end %d", recs[3].End, end)
+	if recs[2].End != end {
+		t.Fatalf("last record End %d != end %d", recs[2].End, end)
 	}
 	gotEv, err := DecodeEvent(recs[0].Payload)
 	if err != nil || gotEv != ev {
 		t.Fatalf("event round trip: %+v vs %+v (%v)", gotEv, ev, err)
 	}
-	gotMk, err := DecodeMark(recs[1].Payload)
-	if err != nil || gotMk != mk {
-		t.Fatalf("mark round trip: %+v vs %+v (%v)", gotMk, mk, err)
-	}
-	gotDq, err := DecodeDLQEntry(recs[2].Payload)
+	gotDq, err := DecodeDLQEntry(recs[1].Payload)
 	if err != nil || gotDq != dq {
 		t.Fatalf("dlq round trip: %+v vs %+v (%v)", gotDq, dq, err)
 	}
-	gotBn, err := DecodeBarrierNote(recs[3].Payload)
+	gotBn, err := DecodeBarrierNote(recs[2].Payload)
 	if err != nil || gotBn != bn {
 		t.Fatalf("barrier round trip: %+v vs %+v (%v)", gotBn, bn, err)
 	}
 
 	// Reading from a mid-log offset returns only the suffix.
-	tail, _, torn, err := ReadAll(path, recs[1].End)
+	tail, _, torn, err := ReadAll(path, recs[0].End)
 	if err != nil || torn {
 		t.Fatalf("suffix read: torn=%v err=%v", torn, err)
 	}
 	if len(tail) != 2 || tail[0].Type != TypeDLQ {
 		t.Fatalf("suffix read got %d records", len(tail))
+	}
+}
+
+// TestRecordTypeNumbers pins the on-disk type numbers: logs written
+// before a type was retired must still read the same, and the retired
+// slot 5 is never written again.
+func TestRecordTypeNumbers(t *testing.T) {
+	want := map[Type]uint8{
+		TypePeriodBegin: 1, TypeStreamBegin: 2, TypeDispatch: 3, TypeAck: 4,
+		TypeDLQ: 6, TypeStreamEnd: 7, TypeBarrier: 8, TypeFence: 9,
+	}
+	for typ, n := range want {
+		if uint8(typ) != n {
+			t.Errorf("%s = %d, want %d", typ, uint8(typ), n)
+		}
+	}
+	w, err := Create(filepath.Join(t.TempDir(), "wal.log"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.Append(Type(5), nil); err == nil {
+		t.Fatal("Append accepted the retired type 5")
 	}
 }
 
