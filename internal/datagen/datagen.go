@@ -3,6 +3,8 @@ package datagen
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/schema"
@@ -270,13 +272,38 @@ func (g *Generator) ProductKeys(region string) []int64 {
 // city assignment (source systems host customers of their own locations).
 func (g *Generator) CustomerFor(key int64, cities []schema.CityRow) Customer {
 	r := g.entityRNG("customer", key)
-	c := Customer{
-		Key:     key,
-		Name:    pick(&r, g.cfg.Dist, firstNames) + " " + pick(&r, g.cfg.Dist, lastNames),
-		Address: fmt.Sprintf("%s %d", pick(&r, g.cfg.Dist, streets), 1+r.Intn(200)),
-		Phone:   fmt.Sprintf("+%d-%d-%07d", 1+r.Intn(99), 100+r.Intn(900), r.Intn(10_000_000)),
+	d := g.cfg.Dist
+	first, last := pick(&r, d, firstNames), pick(&r, d, lastNames)
+	street, house := pick(&r, d, streets), 1+r.Intn(200)
+	country, area, line := 1+r.Intn(99), 100+r.Intn(900), r.Intn(10_000_000)
+
+	// Name, Address and Phone are substrings of one buffer, so a customer
+	// costs one allocation: "first last", "street house", "+cc-area-line".
+	var b strings.Builder
+	b.Grow(len(first) + len(last) + len(street) + 21)
+	b.WriteString(first)
+	b.WriteByte(' ')
+	b.WriteString(last)
+	nameEnd := b.Len()
+	b.WriteString(street)
+	b.WriteByte(' ')
+	writeInt(&b, house)
+	addrEnd := b.Len()
+	b.WriteByte('+')
+	writeInt(&b, country)
+	b.WriteByte('-')
+	writeInt(&b, area)
+	b.WriteByte('-')
+	var digits [7]byte // line, zero-padded to seven digits
+	for i := len(digits) - 1; i >= 0; i-- {
+		digits[i] = '0' + byte(line%10)
+		line /= 10
 	}
-	c.CityKey = cities[r.Index(g.cfg.Dist, len(cities))].Key
+	b.Write(digits[:])
+	all := b.String()
+
+	c := Customer{Key: key, Name: all[:nameEnd], Address: all[nameEnd:addrEnd], Phone: all[addrEnd:]}
+	c.CityKey = cities[r.Index(d, len(cities))].Key
 	if r.Bool(DirtyRate) {
 		c.Dirty = true
 		if r.Bool(0.5) {
@@ -292,9 +319,18 @@ func (g *Generator) CustomerFor(key int64, cities []schema.CityRow) Customer {
 func (g *Generator) ProductFor(key int64) Product {
 	r := g.entityRNG("product", key)
 	group := schema.ProductGroupCatalog[r.Index(g.cfg.Dist, len(schema.ProductGroupCatalog))]
+	brand := pick(&r, g.cfg.Dist, brands)
+	// "brand group key" in one allocation.
+	var name strings.Builder
+	name.Grow(len(brand) + len(group.Name) + 22)
+	name.WriteString(brand)
+	name.WriteByte(' ')
+	name.WriteString(group.Name)
+	name.WriteByte(' ')
+	writeInt(&name, int(key))
 	p := Product{
 		Key:      key,
-		Name:     fmt.Sprintf("%s %s %d", pick(&r, g.cfg.Dist, brands), group.Name, key),
+		Name:     name.String(),
 		Price:    math.Round((5+r.Float64()*995)*100) / 100,
 		GroupKey: group.Key,
 	}
@@ -307,6 +343,12 @@ func (g *Generator) ProductFor(key int64) Product {
 		}
 	}
 	return p
+}
+
+// writeInt writes v in decimal.
+func writeInt(b *strings.Builder, v int) {
+	var num [20]byte
+	b.Write(strconv.AppendInt(num[:0], int64(v), 10))
 }
 
 // OrderFor derives the order entity of a key, drawing the customer from

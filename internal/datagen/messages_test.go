@@ -165,13 +165,13 @@ var raceEnabled bool
 
 // TestE1ByteBuildersAllocBudget holds each builder, writing into a
 // reused buffer, to the entity it derives: the order lines of an order,
-// or the name, address and phone of a customer.
+// or the one string that holds a customer's name, address and phone.
 func TestE1ByteBuildersAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are stated for builds without the race detector")
 	}
 	g := MustNew(Config{Seed: 42, Datasize: 1, Dist: Uniform})
-	budget := map[string]float64{"P01": 5, "P02": 5, "P04": 1, "P08": 1, "P10": 1}
+	budget := map[string]float64{"P01": 1, "P02": 1, "P04": 1, "P08": 1, "P10": 1}
 	buf := make([]byte, 0, 8<<10)
 	for kind, build := range e1Builders(g) {
 		i := 0
