@@ -92,11 +92,11 @@ type Options struct {
 	// Shards > 0 partitions the scenario by business region: each shard
 	// runs its region's group A/B processes, consolidation extraction and
 	// mart refresh on an independent child engine (own worker pool and
-	// plan cache), while the warehouse is fed through
-	// a deterministic cross-shard merge barrier that folds the region
-	// batches in the fixed schema.Regions order. The final state is
-	// byte-identical for every shard count (see shard.go). At most one
-	// shard per region; 0 keeps the single-engine execution path.
+	// plan cache), while the warehouse is fed through a deterministic
+	// cross-shard merge barrier that folds the region batches in the
+	// fixed schema.Regions order. The final state is byte-identical for
+	// every shard count (see shard.go). At most one shard per region; 0
+	// keeps the single-engine execution path.
 	Shards int
 	// Scheduler attributes this engine's parallel kernel work to a
 	// fair-share handle on the process-wide work-stealing scheduler
