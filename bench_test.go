@@ -621,8 +621,8 @@ func benchWorkers(b *testing.B, n int) {
 // BenchmarkVectorKernels A/B-compares the sequential row kernels (the
 // federated System A reference) against the vectorized columnar kernels
 // at par=4 over tiled Europe datasets: predicate evaluation over typed
-// column slices with a selection bitmap, typed hash-join build/probe, and
-// the fused grouped-aggregation fold. Run with -benchmem: the vec arms
+// column slices with a selection bitmap, and typed hash-join build/probe.
+// Run with -benchmem: the vec arms
 // also demonstrate the pooled ColSet/bitmap scratch (allocs/op stays
 // dominated by the output, not the scan).
 func BenchmarkVectorKernels(b *testing.B) {
@@ -635,11 +635,6 @@ func BenchmarkVectorKernels(b *testing.B) {
 	orders := tileRelation(b, ds.Orders, copies, "Ordkey")
 	orderline := tileRelation(b, ds.Orderline, copies, "Ordkey")
 	pred := rel.ColEq("Location", rel.NewString("Berlin"))
-	groupCols := []string{"Custkey"}
-	aggs := []rel.AggSpec{
-		{Func: "count", As: "N"},
-		{Func: "sum", Col: "Total", As: "Sum"},
-	}
 	const par = 4
 	benchWorkers(b, 8)
 	mustColumnar := func(b *testing.B, l rel.Layout) {
@@ -682,25 +677,6 @@ func BenchmarkVectorKernels(b *testing.B) {
 			out, layout, err := orderline.HashJoinVec(par, orders, "Ordkey", "Ordkey", "o_")
 			if err != nil || out.Len() == 0 {
 				b.Fatal("empty join")
-			}
-			mustColumnar(b, layout)
-		}
-	})
-	b.Run("groupagg/row", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, err := orders.GroupBy(groupCols, aggs)
-			if err != nil || out.Len() == 0 {
-				b.Fatalf("empty aggregation (%v)", err)
-			}
-		}
-	})
-	b.Run("groupagg/vec", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, layout, err := orders.GroupAggExtVec(par, nil, func(rel.Row, []rel.Value) {}, groupCols, aggs)
-			if err != nil || out.Len() == 0 {
-				b.Fatalf("empty aggregation (%v)", err)
 			}
 			mustColumnar(b, layout)
 		}
@@ -765,10 +741,6 @@ func BenchmarkStreamCD(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					s.SetParallelism(m.par)
-					if m.columnar {
-						s.SetColumnar(true)
-					}
 					// Prerequisites: the extraction processes that populate the
 					// staging tables streams C/D consume.
 					for _, pre := range []string{"P05", "P06", "P07"} {
@@ -811,8 +783,6 @@ func BenchmarkStreamCDSharded(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					s.SetParallelism(4)
-					s.SetColumnar(true)
 					for _, pre := range []string{"P05", "P06", "P07"} {
 						if err := eng.Execute(pre, nil, 0); err != nil {
 							b.Fatal(err)
@@ -866,9 +836,6 @@ func BenchmarkSchedulerMultiTenant(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						s.SetParallelism(4)
-						s.SetColumnar(true)
-						s.SetScheduler(h)
 						for _, pre := range []string{"P05", "P06", "P07"} {
 							if err := eng.Execute(pre, nil, 0); err != nil {
 								b.Fatal(err)

@@ -287,18 +287,10 @@ func New(cfg Config) (*Benchmark, error) {
 	default:
 		return fail(fmt.Errorf("core: Columnar must be \"\", \"on\" or \"off\", got %q", cfg.Columnar))
 	}
-	// The warehouse-layer stored procedures (OrdersMV refresh) run inside
-	// the external systems; give them the engine's parallel degree and
-	// execution layout so the optimized engines' C/D streams parallelize
-	// and vectorize end to end while the federated reference keeps them
-	// sequential and row-oriented.
-	scn.SetParallelism(eng.Options().Parallelism)
-	scn.SetColumnar(eng.Options().Columnar)
 	// Fair-share attribution: a tenant handle from the service governor,
 	// or a private handle registered for this run's lifetime, or (both
 	// unset) the process-wide default handle. The engine hands it to every
-	// instance context; the scenario hands it to the warehouse/mart stored
-	// procedures. Shard children inherit it through the options copy.
+	// instance context; shard children inherit it through the options copy.
 	schedHandle = cfg.Scheduler
 	if schedHandle == nil && cfg.SchedShare > 0 {
 		schedHandle = sched.Default().Register("", cfg.SchedShare)
@@ -306,7 +298,6 @@ func New(cfg Config) (*Benchmark, error) {
 	}
 	if schedHandle != nil {
 		eng.SetScheduler(schedHandle)
-		scn.SetScheduler(schedHandle)
 	}
 	var plan *fault.Plan
 	if cfg.FaultRate > 0 {

@@ -63,28 +63,6 @@ func TestUnionDistinctParAllocBudget(t *testing.T) {
 	})
 }
 
-func TestGroupAggExtVecParallelAllocBudget(t *testing.T) {
-	withWorkers(t, 4, func() {
-		// Five morsels, two rows per group; COUNT and an integer SUM are
-		// order-exact lanes, so no group keeps a replay index list.
-		rel := allocRows(5 * morselSize)
-		groups := rel.Len() / 2
-		cols := []Column{Col("G", TypeInt)}
-		fn := func(row Row, out []Value) { out[0] = NewInt(row[0].i / 2) }
-		aggs := []AggSpec{{Func: "count", As: "N"}, {Func: "sum", Col: "V", As: "SV"}}
-		allocs := testing.AllocsPerRun(3, func() {
-			out, layout, err := rel.GroupAggExtVec(4, cols, fn, []string{"G"}, aggs)
-			if err != nil || layout != LayoutColumnar || out.Len() != groups {
-				t.Fatalf("GroupAggExtVec: %v, layout %v, %d groups", err, layout, out.Len())
-			}
-		})
-		if allocs >= float64(groups) {
-			t.Errorf("parallel GroupAggExtVec over %d groups: %.0f allocations, want fewer than one per group",
-				groups, allocs)
-		}
-	})
-}
-
 // A cell costs one type tag, one payload word and a string header.
 func TestValueAllocSize(t *testing.T) {
 	if got := unsafe.Sizeof(Value{}); got != 32 {

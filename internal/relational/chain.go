@@ -4,7 +4,7 @@ import "slices"
 
 // chain is the hash table under every table index and kernel hash table
 // of the package: a multimap from a hash (or a typed key) to int32 ids —
-// row slots, row indices or positions in a group list — that the caller
+// row slots or row indices — that the caller
 // resolves and compares itself. The first id filed under a key is stored
 // inline in one; the second and later ids go to the overflow list in
 // more. A key that no other id shares — a unique key, or a hash without

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/sched"
 )
 
 func lower(s string) string { return strings.ToLower(s) }
@@ -29,9 +27,6 @@ type Database struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	procs  map[string]Procedure
-	par    int
-	col    bool
-	sched  *sched.Handle
 }
 
 // NewDatabase creates an empty database instance.
@@ -45,57 +40,6 @@ func NewDatabase(name string) *Database {
 
 // Name returns the instance name.
 func (db *Database) Name() string { return db.name }
-
-// SetParallelism sets the parallel degree stored procedures on this
-// instance pass to the vectorized kernels (e.g. the columnar OrdersMV
-// refresh); <= 1 keeps them sequential. The row kernels are always
-// sequential.
-func (db *Database) SetParallelism(par int) {
-	db.mu.Lock()
-	db.par = par
-	db.mu.Unlock()
-}
-
-// Parallelism returns the instance's parallel degree for stored
-// procedures.
-func (db *Database) Parallelism() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.par
-}
-
-// SetColumnar lets stored procedures on this instance use the vectorized
-// columnar kernels (output stays bit-identical to the row kernels).
-func (db *Database) SetColumnar(on bool) {
-	db.mu.Lock()
-	db.col = on
-	db.mu.Unlock()
-}
-
-// Columnar reports whether stored procedures should prefer the vectorized
-// kernels.
-func (db *Database) Columnar() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.col
-}
-
-// SetScheduler attributes the parallel kernel work of this instance's
-// stored procedures to the given scheduler handle (the owning tenant),
-// for fair-share arbitration on the process-wide pool. Nil means the
-// default handle.
-func (db *Database) SetScheduler(h *sched.Handle) {
-	db.mu.Lock()
-	db.sched = h
-	db.mu.Unlock()
-}
-
-// Scheduler returns the handle set by SetScheduler (nil for the default).
-func (db *Database) Scheduler() *sched.Handle {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.sched
-}
 
 // CreateTable adds a table to the catalog.
 func (db *Database) CreateTable(name string, schema *Schema) (*Table, error) {

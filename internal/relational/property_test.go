@@ -181,27 +181,6 @@ func TestTableInsertScanRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestGroupBySumMatchesTotalProperty(t *testing.T) {
-	f := func(keys []int64) bool {
-		r := genRelation(keys)
-		g, err := r.GroupBy([]string{"K"}, []AggSpec{{Func: "sum", Col: "V", As: "S"}})
-		if err != nil {
-			return false
-		}
-		var total, groupTotal int64
-		for i := 0; i < r.Len(); i++ {
-			total += r.Get(i, "V").Int()
-		}
-		for i := 0; i < g.Len(); i++ {
-			groupTotal += g.Get(i, "S").Int()
-		}
-		return total == groupTotal
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSQLInsertSelectRoundTripProperty(t *testing.T) {
 	f := func(vals []int16) bool {
 		db := NewDatabase("prop")

@@ -331,223 +331,6 @@ func (r *Relation) Sort(cols ...string) (*Relation, error) {
 	return &Relation{schema: r.schema, rows: rows}, nil
 }
 
-// ExtendFn computes one row's extension cells into out (one slot per
-// added column). The operator contract is purity: the output may depend
-// only on row's cells — no captured mutable state, no dependence on call
-// order or call count — and calls must be safe from concurrent
-// goroutines. The kernels exploit the contract freely: the parallel
-// kernels evaluate fn from many workers at once, and the fused
-// grouped-aggregation kernel (GroupAggExtVec) re-runs fn on
-// already-visited rows — ordered float replay, mid-scan fallbacks —
-// instead of materializing the extended relation.
-type ExtendFn func(row Row, out []Value)
-
-// ExtendMany appends several computed columns in a single pass. fn fills
-// out (one slot per added column) for each input row.
-func (r *Relation) ExtendMany(cols []Column, fn ExtendFn) (*Relation, error) {
-	all := make([]Column, len(r.schema.Columns)+len(cols))
-	copy(all, r.schema.Columns)
-	copy(all[len(r.schema.Columns):], cols)
-	es, err := NewSchema(all, r.schema.KeyNames()...)
-	if err != nil {
-		return nil, err
-	}
-	k := len(r.schema.Columns)
-	rows := make([]Row, len(r.rows))
-	for i, row := range r.rows {
-		nr := make(Row, len(all))
-		copy(nr, row)
-		fn(row, nr[k:])
-		rows[i] = nr
-	}
-	return &Relation{schema: es, rows: rows}, nil
-}
-
-// AggSpec describes one aggregate in a GroupBy.
-type AggSpec struct {
-	Func string // "count", "sum", "min", "max", "avg"
-	Col  string // input column ("" allowed for count)
-	As   string // output column name
-}
-
-// groupSpec is the validated compilation of a GroupBy invocation: group
-// and aggregate input ordinals plus the output schema. The sequential and
-// the parallel grouping kernels share it — together with aggAcc/groupAcc —
-// so the two paths fold rows through identical arithmetic and cannot
-// diverge (bit-identical float sums included).
-type groupSpec struct {
-	in   *Schema
-	gOrd []int
-	aOrd []int
-	aggs []AggSpec
-	out  *Schema
-}
-
-// groupSpec validates group columns and aggregate specs.
-func (r *Relation) groupSpec(groupCols []string, aggs []AggSpec) (*groupSpec, error) {
-	gOrd := make([]int, len(groupCols))
-	for i, c := range groupCols {
-		o := r.schema.Ordinal(c)
-		if o < 0 {
-			return nil, fmt.Errorf("relational: group: no column %q", c)
-		}
-		gOrd[i] = o
-	}
-	aOrd := make([]int, len(aggs))
-	cols := make([]Column, 0, len(groupCols)+len(aggs))
-	for _, o := range gOrd {
-		cols = append(cols, r.schema.Columns[o])
-	}
-	for i, a := range aggs {
-		switch a.Func {
-		case "count":
-			// COUNT(*) counts rows; COUNT(col) counts non-NULL values.
-			aOrd[i] = -1
-			if a.Col != "" {
-				o := r.schema.Ordinal(a.Col)
-				if o < 0 {
-					return nil, fmt.Errorf("relational: agg: no column %q", a.Col)
-				}
-				aOrd[i] = o
-			}
-			cols = append(cols, Column{Name: a.As, Type: TypeInt})
-		case "sum", "min", "max", "avg":
-			o := r.schema.Ordinal(a.Col)
-			if o < 0 {
-				return nil, fmt.Errorf("relational: agg: no column %q", a.Col)
-			}
-			aOrd[i] = o
-			t := r.schema.Columns[o].Type
-			if a.Func == "avg" {
-				t = TypeFloat
-			}
-			cols = append(cols, Column{Name: a.As, Type: t, Nullable: true})
-		default:
-			return nil, fmt.Errorf("relational: unknown aggregate %q", a.Func)
-		}
-	}
-	gs, err := NewSchema(cols, groupCols...)
-	if err != nil {
-		return nil, err
-	}
-	return &groupSpec{in: r.schema, gOrd: gOrd, aOrd: aOrd, aggs: aggs, out: gs}, nil
-}
-
-// aggAcc is the running state of one aggregate within one group. One
-// accumulator struct per aggregate keeps the per-group bookkeeping in a
-// single allocation instead of five parallel slices.
-type aggAcc struct {
-	sum   float64
-	isum  int64
-	min   Value
-	max   Value
-	count int64
-}
-
-// groupAcc is the accumulator of one group.
-type groupAcc struct {
-	key   []Value
-	count int64
-	aggs  []aggAcc
-}
-
-// newAcc creates the accumulator for the group a row opens.
-func (s *groupSpec) newAcc(row Row) *groupAcc {
-	return &groupAcc{key: row.pick(s.gOrd), aggs: make([]aggAcc, len(s.aggs))}
-}
-
-// update folds one input row into the group's accumulators. Rows must be
-// folded in relation order for bit-identical float sums.
-func (s *groupSpec) update(g *groupAcc, row Row) {
-	g.count++
-	for i, a := range s.aggs {
-		if s.aOrd[i] < 0 {
-			continue
-		}
-		v := row[s.aOrd[i]]
-		if v.IsNull() {
-			continue
-		}
-		st := &g.aggs[i]
-		st.count++
-		switch a.Func {
-		case "sum", "avg":
-			if v.Type() == TypeInt {
-				st.isum += v.Int()
-			}
-			st.sum += v.Float()
-		case "min":
-			if st.min.IsNull() || v.Compare(st.min) < 0 {
-				st.min = v
-			}
-		case "max":
-			if st.max.IsNull() || v.Compare(st.max) > 0 {
-				st.max = v
-			}
-		}
-	}
-}
-
-// emit renders one group's output row.
-func (s *groupSpec) emit(g *groupAcc) Row {
-	row := make(Row, 0, len(s.out.Columns))
-	row = append(row, g.key...)
-	for i, a := range s.aggs {
-		st := g.aggs[i]
-		switch a.Func {
-		case "count":
-			if a.Col != "" {
-				row = append(row, NewInt(st.count))
-			} else {
-				row = append(row, NewInt(g.count))
-			}
-		case "sum":
-			if st.count == 0 {
-				row = append(row, Null)
-			} else if s.in.Columns[s.aOrd[i]].Type == TypeInt {
-				row = append(row, NewInt(st.isum))
-			} else {
-				row = append(row, NewFloat(st.sum))
-			}
-		case "avg":
-			if st.count == 0 {
-				row = append(row, Null)
-			} else {
-				row = append(row, NewFloat(st.sum/float64(st.count)))
-			}
-		case "min":
-			row = append(row, st.min)
-		case "max":
-			row = append(row, st.max)
-		}
-	}
-	return row
-}
-
-// GroupBy groups rows by the named columns and computes the aggregates.
-// It backs the materialized view OrdersMV refresh of the DIPBench scenario.
-func (r *Relation) GroupBy(groupCols []string, aggs []AggSpec) (*Relation, error) {
-	spec, err := r.groupSpec(groupCols, aggs)
-	if err != nil {
-		return nil, err
-	}
-	var groups chain[uint64] // key hash -> index into order
-	var order []*groupAcc
-	for _, row := range r.rows {
-		h := hashRowOn(row, spec.gOrd)
-		gi, ok := groups.findOrAdd(h, int32(len(order)), func(i int32) bool { return keyMatches(row, spec.gOrd, order[i].key) })
-		if !ok {
-			order = append(order, spec.newAcc(row))
-		}
-		spec.update(order[gi], row)
-	}
-	out := make([]Row, 0, len(order))
-	for _, g := range order {
-		out = append(out, spec.emit(g))
-	}
-	return &Relation{schema: spec.out, rows: out}, nil
-}
-
 // String renders a small ASCII table; intended for debugging and examples.
 func (r *Relation) String() string {
 	var b strings.Builder

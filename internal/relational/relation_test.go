@@ -296,111 +296,6 @@ func TestSort(t *testing.T) {
 	}
 }
 
-func TestExtend(t *testing.T) {
-	cols := []Column{NullableCol("Doubled", TypeFloat), NullableCol("Big", TypeBool)}
-	src := sampleOrders()
-	got, err := src.ExtendMany(cols, func(r Row, out []Value) {
-		out[0] = NewFloat(r[3].Float() * 2)
-		out[1] = NewBool(r[3].Float() > 150)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Get(0, "Doubled").Float() != 200 || got.Get(0, "Big").Bool() || !got.Get(1, "Big").Bool() {
-		t.Errorf("ExtendMany: %v / %v", got.Row(0), got.Row(1))
-	}
-	// Source relation untouched.
-	if len(src.Schema().Columns) != 4 || len(src.Row(0)) != 4 {
-		t.Error("source relation mutated")
-	}
-	if _, err := src.ExtendMany([]Column{Col("Total", TypeInt)}, func(Row, []Value) {}); err == nil {
-		t.Error("duplicate column name accepted")
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	got, err := sampleOrders().GroupBy([]string{"Custkey"}, []AggSpec{
-		{Func: "count", As: "N"},
-		{Func: "sum", Col: "Total", As: "SumTotal"},
-		{Func: "min", Col: "Total", As: "MinTotal"},
-		{Func: "max", Col: "Total", As: "MaxTotal"},
-		{Func: "avg", Col: "Total", As: "AvgTotal"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 3 {
-		t.Fatalf("GroupBy: got %d groups, want 3", got.Len())
-	}
-	byKey := map[int64]Row{}
-	for i := 0; i < got.Len(); i++ {
-		byKey[got.Get(i, "Custkey").Int()] = got.Row(i)
-	}
-	g10 := byKey[10]
-	if g10 == nil {
-		t.Fatal("missing group 10")
-	}
-	s := got.Schema()
-	if g10[s.MustOrdinal("N")].Int() != 2 {
-		t.Errorf("count for 10: %v", g10)
-	}
-	if g10[s.MustOrdinal("SumTotal")].Float() != 175 {
-		t.Errorf("sum for 10: %v", g10)
-	}
-	if g10[s.MustOrdinal("MinTotal")].Float() != 75 || g10[s.MustOrdinal("MaxTotal")].Float() != 100 {
-		t.Errorf("min/max for 10: %v", g10)
-	}
-	if g10[s.MustOrdinal("AvgTotal")].Float() != 87.5 {
-		t.Errorf("avg for 10: %v", g10)
-	}
-}
-
-func TestGroupByIntSum(t *testing.T) {
-	s := MustSchema([]Column{Col("G", TypeString), Col("V", TypeInt)})
-	r := MustRelation(s, []Row{
-		{NewString("a"), NewInt(1)},
-		{NewString("a"), NewInt(2)},
-		{NewString("b"), NewInt(5)},
-	})
-	got, err := r.GroupBy([]string{"G"}, []AggSpec{{Func: "sum", Col: "V", As: "S"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < got.Len(); i++ {
-		g := got.Get(i, "G").Str()
-		sum := got.Get(i, "S")
-		if sum.Type() != TypeInt {
-			t.Fatalf("int sum should stay int, got %s", sum.Type())
-		}
-		if (g == "a" && sum.Int() != 3) || (g == "b" && sum.Int() != 5) {
-			t.Errorf("group %s sum %v", g, sum)
-		}
-	}
-}
-
-func TestGroupByCountMatchesLenProperty(t *testing.T) {
-	f := func(vals []int64) bool {
-		s := MustSchema([]Column{Col("V", TypeInt)})
-		rows := make([]Row, len(vals))
-		for i, v := range vals {
-			rows[i] = Row{NewInt(v % 4)} // few groups
-		}
-		r := MustRelation(s, rows)
-		g, err := r.GroupBy([]string{"V"}, []AggSpec{{Func: "count", As: "N"}})
-		if err != nil {
-			return false
-		}
-		total := int64(0)
-		for i := 0; i < g.Len(); i++ {
-			total += g.Get(i, "N").Int()
-		}
-		return total == int64(len(vals))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLikeMatch(t *testing.T) {
 	cases := []struct {
 		s, pat string

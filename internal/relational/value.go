@@ -3,7 +3,7 @@
 //
 // The engine provides typed columns, tables with primary-key and secondary
 // hash indexes, a relational algebra (scan, selection, projection, rename,
-// join, union distinct, sort, grouping), insert triggers, stored procedures,
+// join, union distinct, sort), insert triggers, stored procedures,
 // SQL INSERT for the Fig. 9 a) queue tables, WHERE-clause predicates parsed
 // from the remote database wire, and a multi-instance server with optional
 // latency injection so that communication costs remain a distinct cost

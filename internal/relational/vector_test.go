@@ -268,152 +268,6 @@ func TestHashJoinVecFloatKeyFallsBack(t *testing.T) {
 	sameRelation(t, "HashJoinVec(float keys)", seq, got)
 }
 
-// groupAggVec runs the vectorized grouped fold production uses,
-// GroupAggExtVec, with an empty extension, so it is a plain grouped
-// aggregation over r.
-func groupAggVec(r *Relation, par int, groupCols []string, aggs []AggSpec) (*Relation, Layout, error) {
-	return r.GroupAggExtVec(par, nil, func(Row, []Value) {}, groupCols, aggs)
-}
-
-func TestGroupAggVecMatchesGroupBy(t *testing.T) {
-	withWorkers(t, 8, func() {
-		aggs := []AggSpec{
-			{Func: "count", As: "N"},
-			{Func: "count", Col: "F", As: "NF"},
-			{Func: "sum", Col: "F", As: "SF"},
-			{Func: "sum", Col: "K", As: "SK"},
-			{Func: "avg", Col: "F", As: "AF"},
-			{Func: "avg", Col: "K", As: "AK"},
-			{Func: "min", Col: "F", As: "MinF"},
-			{Func: "max", Col: "F", As: "MaxF"},
-			{Func: "min", Col: "K", As: "MinK"},
-			{Func: "max", Col: "T", As: "MaxT"},
-			{Func: "min", Col: "B", As: "MinB"},
-			{Func: "max", Col: "S", As: "MaxS"},
-		}
-		groupings := [][]string{{"G"}, {"G", "S"}, {"B"}, {"T", "G"}}
-		for _, n := range vectorSizes {
-			r := randVecRelation(rand.New(rand.NewSource(int64(n)+83)), n, 0.3)
-			for _, by := range groupings {
-				seq, err := r.GroupBy(by, aggs)
-				if err != nil {
-					t.Fatalf("n=%d by=%v: GroupBy: %v", n, by, err)
-				}
-				for _, par := range vectorDegrees {
-					// No layout assertion here: the adversarial floats in F
-					// legitimately push SUM/AVG lanes back to the row kernel
-					// (NaN-payload determinism); identity must hold either way.
-					got, _, err := groupAggVec(r, par, by, aggs)
-					if err != nil {
-						t.Fatalf("n=%d par=%d by=%v: GroupAggVec: %v", n, par, by, err)
-					}
-					sameRelation(t, fmt.Sprintf("n=%d par=%d GroupAggVec(%v)", n, par, by), seq, got)
-				}
-			}
-		}
-		// With finite floats the vectorized path must actually engage.
-		r := randMixed(rand.New(rand.NewSource(5)), vecMinRows*2, 0.3)
-		_, layout, err := groupAggVec(r, 4, []string{"G"}, aggs[:9])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if layout != LayoutColumnar {
-			t.Fatalf("finite-float grouping layout = %v, want COLUMNAR", layout)
-		}
-	})
-}
-
-// TestGroupAggVecNonFiniteSumFallsBack pins the NaN-payload guard: a
-// single ±Inf or NaN in a float SUM lane must push the whole call to the
-// row kernel, and the results must still match bit for bit.
-func TestGroupAggVecNonFiniteSumFallsBack(t *testing.T) {
-	n := 2 * morselSize
-	s := MustSchema([]Column{Col("G", TypeInt), Col("F", TypeFloat)})
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = Row{NewInt(int64(i % 4)), NewFloat(float64(i))}
-	}
-	rows[n/2] = Row{NewInt(1), NewFloat(math.Inf(-1))}
-	rows[n/2+9] = Row{NewInt(1), NewFloat(math.Inf(1))}
-	rows[n-5] = Row{NewInt(1), NewFloat(math.NaN())}
-	r := MustRelation(s, rows)
-	aggs := []AggSpec{{Func: "sum", Col: "F", As: "S"}}
-	seq, err := r.GroupBy([]string{"G"}, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range vectorDegrees {
-		got, layout, err := groupAggVec(r, par, []string{"G"}, aggs)
-		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
-		}
-		if layout != LayoutRow {
-			t.Fatalf("par=%d: non-finite sum layout = %v, want ROW", par, layout)
-		}
-		sameRelation(t, fmt.Sprintf("par=%d GroupAggVec(non-finite sum)", par), seq, got)
-	}
-}
-
-// TestGroupAggVecFloatSumBitIdentical drives the fused float accumulator
-// hard: few groups, many rows per group, so any reassociation of the
-// additions would flip low-order bits.
-func TestGroupAggVecFloatSumBitIdentical(t *testing.T) {
-	withWorkers(t, 8, func() {
-		rng := rand.New(rand.NewSource(42))
-		n := 3 * morselSize
-		s := MustSchema([]Column{Col("G", TypeInt), Col("F", TypeFloat)})
-		rows := make([]Row, n)
-		for i := range rows {
-			rows[i] = Row{NewInt(int64(i % 5)), NewFloat(rng.NormFloat64() * 1e6)}
-		}
-		r := MustRelation(s, rows)
-		aggs := []AggSpec{{Func: "sum", Col: "F", As: "S"}, {Func: "avg", Col: "F", As: "A"}}
-		seq, err := r.GroupBy([]string{"G"}, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{1, 2, 7} {
-			got, layout, err := groupAggVec(r, par, []string{"G"}, aggs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if layout != LayoutColumnar {
-				t.Fatalf("par=%d: layout = %v", par, layout)
-			}
-			sameRelation(t, fmt.Sprintf("par=%d", par), seq, got)
-		}
-	})
-}
-
-// TestGroupAggVecFloatKeyFallsBack: float group keys would need Compare
-// equality (NaN groups with NaN, -0 with +0) that no typed table
-// reproduces — the kernel must run GroupBy instead.
-func TestGroupAggVecFloatKeyFallsBack(t *testing.T) {
-	n := vecMinRows * 2
-	s := MustSchema([]Column{Col("F", TypeFloat), Col("V", TypeInt)})
-	weird := []float64{math.NaN(), math.Copysign(0, -1), 0, 2.5}
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = Row{NewFloat(weird[i%len(weird)]), NewInt(int64(i))}
-	}
-	r := MustRelation(s, rows)
-	aggs := []AggSpec{{Func: "sum", Col: "V", As: "S"}}
-	seq, err := r.GroupBy([]string{"F"}, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range vectorDegrees {
-		got, layout, err := groupAggVec(r, par, []string{"F"}, aggs)
-		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
-		}
-		if layout != LayoutRow {
-			t.Fatalf("par=%d: float-keyed grouping layout = %v, want ROW", par, layout)
-		}
-		sameRelation(t, fmt.Sprintf("par=%d GroupAggVec(float keys)", par), seq, got)
-	}
-}
-
 // TestVecRogueTypesFallBack: operator-built relations skip CheckRow, so a
 // cell's runtime type can disagree with the declared column type. The
 // typed kernels must detect that during their scans and surrender to the
@@ -429,22 +283,6 @@ func TestVecRogueTypesFallBack(t *testing.T) {
 	// (bypassing validation exactly as operator output does).
 	rows[n-3] = Row{NewString("rogue"), NewInt(1)}
 	r := &Relation{schema: s, rows: rows}
-
-	aggs := []AggSpec{{Func: "count", As: "N"}}
-	seq, err := r.GroupBy([]string{"K"}, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range vectorDegrees {
-		got, layout, err := groupAggVec(r, par, []string{"K"}, aggs)
-		if err != nil {
-			t.Fatalf("par=%d group: %v", par, err)
-		}
-		if layout != LayoutRow {
-			t.Fatalf("par=%d: rogue-typed grouping layout = %v, want ROW", par, layout)
-		}
-		sameRelation(t, fmt.Sprintf("par=%d GroupAggVec(rogue)", par), seq, got)
-	}
 
 	right := MustRelation(MustSchema([]Column{Col("RK", TypeInt), Col("P", TypeInt)}),
 		func() []Row {
@@ -498,7 +336,7 @@ func TestColSetRoundTrip(t *testing.T) {
 
 // TestVectorKernelsFuzzedIdentity is the quick.Check twin of the parallel
 // fuzz test: tiled fuzzed keys past the threshold, identity across the
-// three order-sensitive vectorized kernels.
+// order-sensitive vectorized kernels.
 func TestVectorKernelsFuzzedIdentity(t *testing.T) {
 	withWorkers(t, 8, func() {
 		f := func(keys []int64, pivot int64) bool {
@@ -520,12 +358,12 @@ func TestVectorKernelsFuzzedIdentity(t *testing.T) {
 			if err1 != nil || err2 != nil || !relationsIdentical(s1, s2) {
 				return false
 			}
-			g1, err1 := r.GroupBy([]string{"K"}, []AggSpec{{Func: "sum", Col: "V", As: "S"}})
-			g2, _, err2 := groupAggVec(r, 3, []string{"K"}, []AggSpec{{Func: "sum", Col: "V", As: "S"}})
-			if err1 != nil || err2 != nil || !relationsIdentical(g1, g2) {
+			// One row per key on the build side.
+			distinct, err := r.UnionDistinct([]string{"K"})
+			if err != nil {
 				return false
 			}
-			uniq, err := g1.RenameAll(map[string]string{"S": "W"})
+			uniq, err := distinct.RenameAll(map[string]string{"V": "W"})
 			if err != nil {
 				return false
 			}
@@ -535,210 +373,6 @@ func TestVectorKernelsFuzzedIdentity(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 			t.Error(err)
-		}
-	})
-}
-
-// finiteVecRelation is randVecRelation without the adversarial float
-// payloads: finite float lanes stay on the vectorized path, so the
-// parallel kernels' ordered float replay is actually exercised instead
-// of surrendering to the row kernels.
-func finiteVecRelation(rng *rand.Rand, n int) *Relation {
-	s := MustSchema([]Column{
-		Col("K", TypeInt),
-		{Name: "G", Type: TypeInt, Nullable: true},
-		{Name: "F", Type: TypeFloat, Nullable: true},
-		Col("S", TypeString),
-		{Name: "T", Type: TypeTime, Nullable: true},
-	})
-	base := time.Date(2006, 1, 2, 15, 4, 5, 0, time.UTC)
-	rows := make([]Row, n)
-	for i := range rows {
-		g, f, ts := Null, Null, Null
-		if rng.Float64() >= 0.2 {
-			g = NewInt(int64(rng.Intn(40)))
-		}
-		if rng.Float64() >= 0.2 {
-			f = NewFloat(rng.NormFloat64() * 100)
-		}
-		if rng.Float64() >= 0.2 {
-			ts = NewTime(base.Add(time.Duration(rng.Intn(1000)) * time.Hour))
-		}
-		rows[i] = Row{
-			NewInt(int64(rng.Intn(500))), g, f,
-			NewString(fmt.Sprintf("s%02d", rng.Intn(60))), ts,
-		}
-	}
-	return &Relation{schema: s, rows: rows}
-}
-
-// TestGroupAggVecExactLaneMerge pins the parallel grouped aggregation's
-// two phase-2 modes against the sequential row kernel: an all-exact
-// aggregate set (COUNT, int SUM/MIN/MAX, string MIN/MAX) merges the
-// per-morsel states directly and never revisits a row, while adding one
-// finite float SUM keeps the index lists and replays only that lane in
-// global row order. Both must be bit-identical to GroupBy.
-func TestGroupAggVecExactLaneMerge(t *testing.T) {
-	withWorkers(t, 8, func() {
-		r := finiteVecRelation(rand.New(rand.NewSource(4117)), 2*morselSize+451)
-		by := []string{"G"}
-		exactAggs := []AggSpec{
-			{Func: "count", As: "N"},
-			{Func: "count", Col: "F", As: "NF"},
-			{Func: "sum", Col: "K", As: "SK"},
-			{Func: "min", Col: "K", As: "MNK"},
-			{Func: "max", Col: "K", As: "MXK"},
-			{Func: "min", Col: "S", As: "MNS"},
-			{Func: "max", Col: "S", As: "MXS"},
-		}
-		mixedAggs := append(append([]AggSpec(nil), exactAggs...),
-			AggSpec{Func: "sum", Col: "F", As: "SF"},
-			AggSpec{Func: "avg", Col: "K", As: "AK"})
-		for _, tc := range []struct {
-			tag  string
-			aggs []AggSpec
-		}{{"exact-only", exactAggs}, {"mixed-replay", mixedAggs}} {
-			want, err := r.GroupBy(by, tc.aggs)
-			if err != nil {
-				t.Fatalf("%s: GroupBy: %v", tc.tag, err)
-			}
-			for _, par := range []int{2, 4, 8} {
-				got, layout, err := groupAggVec(r, par, by, tc.aggs)
-				if err != nil {
-					t.Fatalf("%s par=%d: GroupAggVec: %v", tc.tag, par, err)
-				}
-				if layout != LayoutColumnar {
-					t.Fatalf("%s par=%d: layout = %v, want COLUMNAR", tc.tag, par, layout)
-				}
-				sameRelation(t, fmt.Sprintf("%s par=%d", tc.tag, par), want, got)
-			}
-		}
-	})
-}
-
-// TestGroupAggExtVecParallelFused pins the parallel fused extend+group
-// path — phase-1 extension into per-worker scratch rows, direct merge of
-// the exact lanes, fn re-run during the ordered float replay — against
-// the materializing row pipeline, with finite floats so the vectorized
-// path actually runs.
-func TestGroupAggExtVecParallelFused(t *testing.T) {
-	withWorkers(t, 8, func() {
-		r := finiteVecRelation(rand.New(rand.NewSource(9311)), 2*morselSize+89)
-		ord := r.Schema().MustOrdinal("T")
-		cols := []Column{
-			{Name: "Y", Type: TypeInt, Nullable: true},
-			{Name: "M", Type: TypeInt, Nullable: true},
-		}
-		fn := func(row Row, out []Value) {
-			if row[ord].IsNull() {
-				out[0], out[1] = Null, Null
-				return
-			}
-			d := row[ord].Time()
-			out[0] = NewInt(int64(d.Year()))
-			out[1] = NewInt(int64(d.Month()))
-		}
-		by := []string{"Y", "M", "G"}
-		aggs := []AggSpec{
-			{Func: "count", As: "N"},
-			{Func: "sum", Col: "K", As: "SK"},
-			{Func: "sum", Col: "F", As: "SF"},
-			{Func: "avg", Col: "F", As: "AF"},
-		}
-		ext, err := r.ExtendMany(cols, fn)
-		if err != nil {
-			t.Fatalf("ExtendMany: %v", err)
-		}
-		want, err := ext.GroupBy(by, aggs)
-		if err != nil {
-			t.Fatalf("GroupBy: %v", err)
-		}
-		for _, par := range []int{2, 4, 8} {
-			got, layout, err := r.GroupAggExtVec(par, cols, fn, by, aggs)
-			if err != nil {
-				t.Fatalf("par=%d: GroupAggExtVec: %v", par, err)
-			}
-			if layout != LayoutColumnar {
-				t.Fatalf("par=%d: layout = %v, want COLUMNAR (fused parallel)", par, layout)
-			}
-			sameRelation(t, fmt.Sprintf("par=%d fused", par), want, got)
-		}
-	})
-}
-
-// TestGroupAggExtVecMatchesRowPipeline pins the fused extend+group
-// kernel — the ComputeOrdersMV shape — against the row pipeline it
-// replaces (ExtendMany followed by GroupBy), across sizes,
-// degrees and NULL-bearing time columns.
-func TestGroupAggExtVecMatchesRowPipeline(t *testing.T) {
-	withWorkers(t, 8, func() {
-		cols := []Column{
-			{Name: "Y", Type: TypeInt, Nullable: true},
-			{Name: "M", Type: TypeInt, Nullable: true},
-		}
-		mkFn := func(r *Relation) func(Row, []Value) {
-			ord := r.Schema().MustOrdinal("T")
-			return func(row Row, out []Value) {
-				if row[ord].IsNull() {
-					out[0], out[1] = Null, Null
-					return
-				}
-				d := row[ord].Time()
-				out[0] = NewInt(int64(d.Year()))
-				out[1] = NewInt(int64(d.Month()))
-			}
-		}
-		by := []string{"Y", "M", "G"}
-		aggs := []AggSpec{
-			{Func: "count", As: "N"},
-			{Func: "sum", Col: "K", As: "SK"},
-			{Func: "sum", Col: "F", As: "SF"},
-		}
-		for _, n := range vectorSizes {
-			r := randVecRelation(rand.New(rand.NewSource(int64(n)+907)), n, 0.3)
-			fn := mkFn(r)
-			ext, err := r.ExtendMany(cols, fn)
-			if err != nil {
-				t.Fatalf("n=%d: ExtendMany: %v", n, err)
-			}
-			want, err := ext.GroupBy(by, aggs)
-			if err != nil {
-				t.Fatalf("n=%d: GroupBy: %v", n, err)
-			}
-			for _, par := range vectorDegrees {
-				// No layout assertion: the adversarial floats in F push the
-				// SUM lane back to the row kernels (NaN-payload determinism);
-				// identity must hold on every path — fused sequential,
-				// materialized parallel, and the row fallback.
-				got, _, err := r.GroupAggExtVec(par, cols, fn, by, aggs)
-				if err != nil {
-					t.Fatalf("n=%d par=%d: GroupAggExtVec: %v", n, par, err)
-				}
-				sameRelation(t, fmt.Sprintf("n=%d par=%d GroupAggExtVec", n, par), want, got)
-			}
-		}
-		// With no float aggregate lane (count + int sum) the adversarial
-		// floats in F are never touched, so both executions must report
-		// the vectorized layout: par=1 exercises the fused single pass,
-		// par=4 the parallel fused partition with direct exact-lane merge.
-		r := randVecRelation(rand.New(rand.NewSource(31)), morselSize+77, 0.3)
-		fn := mkFn(r)
-		for _, par := range []int{1, 4} {
-			_, layout, err := r.GroupAggExtVec(par, cols, fn, by, aggs[:2])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if layout != LayoutColumnar {
-				t.Fatalf("par=%d fused grouping layout = %v, want COLUMNAR", par, layout)
-			}
-		}
-		// Grouping by a float key is ineligible and must fall back whole.
-		_, layout, err := r.GroupAggExtVec(1, cols, fn, []string{"F"}, aggs[:2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if layout != LayoutRow {
-			t.Fatalf("float-keyed fused grouping layout = %v, want ROW", layout)
 		}
 	})
 }

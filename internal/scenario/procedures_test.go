@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	rel "repro/internal/relational"
@@ -139,5 +140,128 @@ func TestMVFixtureOrderSensitive(t *testing.T) {
 	}
 	if differ < 3 {
 		t.Fatalf("only %d groups' sums depend on the addition order, want at least 3", differ)
+	}
+}
+
+// seedOrders bulk-loads n Orders facts cycling through custs customers
+// and the 24 months of 2006-2007: the first min(n, lcm(12, custs))
+// rows each open a new (Year, Month, Custkey) group.
+func seedOrders(tb testing.TB, t *rel.Table, n, custs int) {
+	tb.Helper()
+	rows := make([]rel.Row, n)
+	for i := range rows {
+		rows[i] = rel.Row{
+			rel.NewInt(int64(i)),
+			rel.NewInt(int64(1 + i%custs)),
+			rel.NewInt(int64(1 + i%11)),
+			rel.NewTime(time.Date(2006+i%2, time.Month(1+i%12), 1+i%28, 0, 0, 0, 0, time.UTC)),
+			rel.NewString("O"),
+			rel.NewString("3-MEDIUM"),
+			rel.NewFloat(100.5 * float64(1+i%97)),
+		}
+	}
+	batch, err := rel.NewRelation(t.Schema(), rows)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := t.InsertAll(batch); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// mvDatabase is a bare instance holding just the refresh's two tables.
+func mvDatabase() *rel.Database {
+	db := rel.NewDatabase("mv")
+	db.MustCreateTable("Orders", schema.WHOrders)
+	db.MustCreateTable("OrdersMV", schema.WHOrdersMV)
+	return db
+}
+
+// TestComputeOrdersMVAllocBudget pins the refresh's allocations per call
+// to the fold's map and group slice and the output's backing arrays: the
+// count must not grow with the number of groups. The 20,500-row cases
+// open 12, 2,388 and 20,500 groups; a fold that allocated once per group
+// (the generic grouped-aggregation kernels did) would pass 2,388.
+func TestComputeOrdersMVAllocBudget(t *testing.T) {
+	const rows, budget = 20500, 256
+	for _, custs := range []int{1, 199, 1999} {
+		db := mvDatabase()
+		seedOrders(t, db.MustTable("Orders"), rows, custs)
+		groups := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			out, err := ComputeOrdersMV(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups = out.Len()
+		})
+		t.Logf("%d customers: %d groups, %.0f allocations per call", custs, groups, allocs)
+		if allocs > budget {
+			t.Errorf("ComputeOrdersMV over %d groups: %.0f allocations per call, budget %d",
+				groups, allocs, budget)
+		}
+	}
+}
+
+// mvPropertyOrders loads one fact per fuzzed draw: the custkey and the
+// month come from the draw, the total is a small whole number so that
+// every float sum is exact in any order.
+func mvPropertyOrders(draws []uint16) (*rel.Database, error) {
+	db := mvDatabase()
+	orders := db.MustTable("Orders")
+	for i, d := range draws {
+		if err := orders.Insert(rel.Row{
+			rel.NewInt(int64(i)), rel.NewInt(int64(d % 5)), rel.NewInt(1),
+			rel.NewTime(time.Date(2006+int(d/5%2), time.Month(1+d/10%12), 1, 0, 0, 0, 0, time.UTC)),
+			rel.NewString("O"), rel.NewString("LOW"), rel.NewFloat(float64(d % 1000)),
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
+func TestComputeOrdersMVCountMatchesLenProperty(t *testing.T) {
+	f := func(draws []uint16) bool {
+		db, err := mvPropertyOrders(draws)
+		if err != nil {
+			return false
+		}
+		mv, err := ComputeOrdersMV(db)
+		if err != nil {
+			return false
+		}
+		total := int64(0)
+		for i := 0; i < mv.Len(); i++ {
+			total += mv.Get(i, "OrderCount").Int()
+		}
+		return total == int64(len(draws))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestComputeOrdersMVSumMatchesTotalProperty(t *testing.T) {
+	f := func(draws []uint16) bool {
+		db, err := mvPropertyOrders(draws)
+		if err != nil {
+			return false
+		}
+		mv, err := ComputeOrdersMV(db)
+		if err != nil {
+			return false
+		}
+		var total, groupTotal float64
+		for _, d := range draws {
+			total += float64(d % 1000)
+		}
+		for i := 0; i < mv.Len(); i++ {
+			groupTotal += mv.Get(i, "TotalSum").Float()
+		}
+		return total == groupTotal
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

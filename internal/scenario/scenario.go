@@ -26,7 +26,6 @@ import (
 	"repro/internal/dbproto"
 	"repro/internal/fault"
 	rel "repro/internal/relational"
-	"repro/internal/sched"
 	"repro/internal/schema"
 	"repro/internal/ws"
 )
@@ -206,39 +205,6 @@ func (s *Scenario) WSBaseURL() string { return s.wsURL }
 // DB returns the named database instance (nil for web-service systems).
 func (s *Scenario) DB(system string) *rel.Database {
 	return s.ES.Instance(system)
-}
-
-// SetParallelism propagates the integration engine's intra-operator
-// parallel degree to the stored procedures of the warehouse and data-mart
-// layers (the OrdersMV refreshes of P13/P15). The degree applies only to
-// the vectorized kernels (see SetColumnar); the row kernels are always
-// sequential. The federated engine leaves the degree at 0, so its
-// measured profile is unaffected.
-func (s *Scenario) SetParallelism(par int) {
-	s.ES.Instance(schema.SysDWH).SetParallelism(par)
-	for _, v := range schema.Marts {
-		s.ES.Instance(v.Name).SetParallelism(par)
-	}
-}
-
-// SetColumnar propagates the integration engine's columnar-execution
-// choice to the stored procedures of the warehouse and data-mart layers
-// (the OrdersMV refreshes of P13/P15), mirroring SetParallelism.
-func (s *Scenario) SetColumnar(on bool) {
-	s.ES.Instance(schema.SysDWH).SetColumnar(on)
-	for _, v := range schema.Marts {
-		s.ES.Instance(v.Name).SetColumnar(on)
-	}
-}
-
-// SetScheduler attributes the warehouse- and mart-layer stored procedure
-// work to the tenant's fair-share scheduler handle, mirroring
-// SetParallelism. Nil means the process-wide default handle.
-func (s *Scenario) SetScheduler(h *sched.Handle) {
-	s.ES.Instance(schema.SysDWH).SetScheduler(h)
-	for _, v := range schema.Marts {
-		s.ES.Instance(v.Name).SetScheduler(h)
-	}
 }
 
 // WSClient returns a client for the named web service.
