@@ -390,6 +390,71 @@ func TestDrainCheckpointsAndRestartResumes(t *testing.T) {
 	}
 }
 
+// TestKillRestartResumes is the hard-kill contract: a daemon killed
+// mid-run (Kill, the in-process kill -9 double — no drain, no persist)
+// leaves its tenant's durable state as the kill found it, and a new
+// daemon on the same data dir re-admits the tenant, resumes it from the
+// last committed checkpoint and finishes with the solo digest. The
+// remote cell injects faults; breaker trips are order-sensitive
+// (wall-clock cooldown), so both cells disable them.
+func TestKillRestartResumes(t *testing.T) {
+	cases := []struct {
+		variant   string // "pipeline" | "remote"
+		faultRate float64
+	}{
+		{"pipeline", 0},
+		{"remote", 0.2},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s_fault%.1f", tc.variant, tc.faultRate), func(t *testing.T) {
+			dataDir := t.TempDir()
+			spec := RunSpec{
+				Name: "kr", Datasize: 0.005, Periods: 60, Seed: 33,
+				FastClock: true, FaultRate: tc.faultRate,
+				BreakerThreshold: 1.1,
+			}
+			switch tc.variant {
+			case "pipeline":
+				spec.Engine = "pipeline"
+			case "remote":
+				spec.RemoteDB = true
+			}
+
+			s1, err := NewServer(Options{DataDir: dataDir, MaxTenants: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts1 := httptest.NewServer(s1.Handler())
+			if _, code := submit(t, ts1, spec); code != http.StatusAccepted {
+				t.Fatalf("submit: %d", code)
+			}
+			// Kill only after a checkpoint exists (the first period's
+			// barriers have committed).
+			deadline := time.Now().Add(60 * time.Second)
+			for status(t, ts1, spec.Name).PeriodsDone < 1 {
+				if time.Now().After(deadline) {
+					t.Fatal("run made no progress before the kill")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			s1.Kill()
+			ts1.Close()
+
+			_, ts2 := daemon(t, Options{DataDir: dataDir, MaxTenants: 2})
+			tm := waitState(t, ts2, spec.Name, 180*time.Second, StateDone, StateFailed, StateCanceled)
+			if tm.State != StateDone {
+				t.Fatalf("restarted run ended %s: %s", tm.State, tm.Error)
+			}
+			if !tm.Resumed {
+				t.Error("restarted run did not resume from a checkpoint")
+			}
+			if want := soloDigest(t, spec); tm.Digest != want {
+				t.Errorf("restarted digest %s != solo digest %s — not exactly-once", tm.Digest, want)
+			}
+		})
+	}
+}
+
 // TestHealthAndMetricsEndpoints pins the liveness surface.
 func TestHealthAndMetricsEndpoints(t *testing.T) {
 	_, ts := daemon(t, Options{MaxTenants: 1})
