@@ -17,10 +17,6 @@
 //	-drain-timeout d    max wait for in-flight runs on SIGTERM (default 60s)
 //	-sched-workers n    worker bound of the shared morsel scheduler (0 = GOMAXPROCS)
 //	-sched-share w      default fair-share weight of tenants (default 1)
-//	-peer-id s          cluster mode: this daemon's unique identity
-//	-cluster-dir path   shared coordination dir (default <data-dir>/cluster)
-//	-lease-ttl d        tenant lease time-to-live (default 10s)
-//	-heartbeat d        lease renewal / failure-scan interval (default lease-ttl/4)
 //	-kill-after n       chaos: die hard (exit 137) after the Nth completed tenant period
 //
 // All tenants execute on one process-wide work-stealing scheduler;
@@ -34,12 +30,10 @@
 // checkpoint, and a restarted daemon with the same -data-dir resumes
 // all unfinished tenants exactly-once.
 //
-// Cluster mode (-peer-id): N daemons share one -data-dir and
-// -cluster-dir; each acquires a fencing-token lease per tenant, renews
-// it every -heartbeat, and claims the tenants of a peer whose leases
-// expired (crash, kill -9) or were released (drain) — resuming them
-// exactly-once from their committed checkpoints. Watch the placement
-// with GET /cluster or `dipmon -cluster <addr>`.
+// -kill-after n is the hard-kill chaos plan: the daemon exits 137
+// (128+SIGKILL) after the nth completed tenant period, with no drain.
+// A restart with the same -data-dir (without the flag) resumes every
+// unfinished tenant from its last committed checkpoint.
 package main
 
 import (
@@ -70,10 +64,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max wait for in-flight runs on SIGTERM")
 	schedWorkers := flag.Int("sched-workers", 0, "worker bound of the shared morsel scheduler (0 = GOMAXPROCS)")
 	schedShare := flag.Float64("sched-share", 1, "default fair-share weight of tenants that do not set one")
-	peerID := flag.String("peer-id", "", "cluster mode: this daemon's unique identity")
-	clusterDir := flag.String("cluster-dir", "", "shared coordination dir (default <data-dir>/cluster)")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "tenant lease time-to-live")
-	heartbeat := flag.Duration("heartbeat", 0, "lease renewal / failure-scan interval (default lease-ttl/4)")
 	killAfter := flag.Int("kill-after", 0, "chaos: die hard (exit 137) after the Nth completed tenant period")
 	flag.Parse()
 
@@ -93,16 +83,12 @@ func main() {
 		CheckpointEvery: *checkpointEvery,
 		RetryAfter:      *retryAfter,
 		DefaultShare:    *schedShare,
-		PeerID:          *peerID,
-		ClusterDir:      *clusterDir,
-		LeaseTTL:        *leaseTTL,
-		Heartbeat:       *heartbeat,
-		Addr:            *addr,
 		Kill:            fault.NewDaemonKill(*killAfter),
 		OnKill: func() {
 			// The in-repo stand-in for `kill -9 $PID` at a deterministic
-			// point: no drain, no flush, no lease release — peers must
-			// take over by lease expiry. 137 = 128+SIGKILL.
+			// point: no drain, no flush — a restart on the same -data-dir
+			// resumes from the last committed checkpoint.
+			// 137 = 128+SIGKILL.
 			log.Printf("dipbenchd: daemon-kill fault point fired (after %d periods); dying hard", *killAfter)
 			os.Exit(137)
 		},
@@ -126,12 +112,7 @@ func main() {
 			log.Fatalf("dipbenchd: serve: %v", err)
 		}
 	}()
-	if *peerID != "" {
-		log.Printf("dipbenchd: listening on http://%s (data %s, %d tenants, cluster peer %s, lease ttl %v)",
-			ln.Addr(), *dataDir, *maxTenants, *peerID, *leaseTTL)
-	} else {
-		log.Printf("dipbenchd: listening on http://%s (data %s, %d tenants)", ln.Addr(), *dataDir, *maxTenants)
-	}
+	log.Printf("dipbenchd: listening on http://%s (data %s, %d tenants)", ln.Addr(), *dataDir, *maxTenants)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)

@@ -17,17 +17,11 @@
 // utilization 1.00 means the tenant received exactly its fair share of
 // the executed morsels.
 //
-// With -cluster it renders a cluster-mode daemon's placement view from
-// its /cluster endpoint: the peer table (liveness by heartbeat age, the
-// tenants each peer's live leases cover) and every tenant lease with
-// its owner, fencing token and expiry. Add -watch to refresh.
-//
 // Usage:
 //
 //	dipmon -in records.csv [-t timescale] [-d datasize] [-csv out.csv] [-dat out.dat]
 //	dipmon -dlq <wal.log | checkpoint-dir>
 //	dipmon -live 127.0.0.1:7717 [-watch]
-//	dipmon -cluster 127.0.0.1:7717 [-watch]
 package main
 
 import (
@@ -42,8 +36,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/monitor"
 	"repro/internal/serve"
 	"repro/internal/wal"
@@ -60,18 +52,11 @@ func main() {
 		datPath = flag.String("dat", "", "write the gnuplot data file to this path")
 		dlqPath = flag.String("dlq", "", "dump the dead-letter queue from this WAL file or checkpoint directory")
 		live    = flag.String("live", "", "render a running dipbenchd's live metrics from this address")
-		clustr  = flag.String("cluster", "", "render a cluster daemon's placement view from this address")
-		watch   = flag.Bool("watch", false, "with -live/-cluster: refresh every 2s until interrupted")
+		watch   = flag.Bool("watch", false, "with -live: refresh every 2s until interrupted")
 	)
 	flag.Parse()
 	if *live != "" {
 		if err := liveMetrics(os.Stdout, *live, *watch); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *clustr != "" {
-		if err := clusterView(os.Stdout, *clustr, *watch); err != nil {
 			fatal(err)
 		}
 		return
@@ -160,13 +145,7 @@ func printSeries(m *monitor.Monitor, process string) {
 // directory containing it.
 func dumpDLQ(out *os.File, path string) error {
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
-		// Cluster-mode checkpoints segment the WAL per ownership
-		// incarnation; the manifest names the current file.
-		walName := "wal.log"
-		if man, err := checkpoint.ReadManifest(path); err == nil {
-			walName = man.WALFile()
-		}
-		path = filepath.Join(path, walName)
+		path = filepath.Join(path, "wal.log")
 	}
 	recs, _, torn, err := wal.ReadAll(path, 0)
 	if err != nil {
@@ -248,68 +227,6 @@ func fetchMetrics(client *http.Client, url string) (*serve.Metrics, error) {
 	return &m, nil
 }
 
-// clusterView fetches and renders a dipbenchd /cluster snapshot; with
-// watch it refreshes every 2 seconds until interrupted.
-func clusterView(out *os.File, addr string, watch bool) error {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	client := &http.Client{Timeout: 10 * time.Second}
-	for {
-		resp, err := client.Get(addr + "/cluster")
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-			resp.Body.Close()
-			return fmt.Errorf("%s/cluster: HTTP %d: %s", addr, resp.StatusCode, strings.TrimSpace(string(body)))
-		}
-		var st cluster.Status
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("decode cluster status: %w", err)
-		}
-		renderCluster(out, &st)
-		if !watch {
-			return nil
-		}
-		time.Sleep(2 * time.Second)
-		fmt.Fprintln(out)
-	}
-}
-
-// renderCluster prints the peer table and the lease table.
-func renderCluster(out *os.File, st *cluster.Status) {
-	fmt.Fprintf(out, "cluster (via %s): lease ttl %s | failovers %d handoffs %d\n",
-		st.Self, time.Duration(st.LeaseTTLMS)*time.Millisecond, st.Failovers, st.Handoffs)
-	fmt.Fprintf(out, "  %-12s %-6s %9s %-21s %s\n", "PEER", "ALIVE", "BEAT-AGE", "ADDR", "TENANTS")
-	for _, p := range st.Peers {
-		alive := "yes"
-		if !p.Alive {
-			alive = "DEAD"
-		}
-		fmt.Fprintf(out, "  %-12s %-6s %7dms %-21s %s\n",
-			p.ID, alive, p.BeatAgeMS, p.Addr, strings.Join(p.Tenants, " "))
-	}
-	if len(st.Leases) == 0 {
-		fmt.Fprintln(out, "  (no leases)")
-		return
-	}
-	fmt.Fprintf(out, "  %-16s %-12s %6s %-9s %s\n", "TENANT", "OWNER", "TOKEN", "STATE", "EXPIRES-IN")
-	for _, l := range st.Leases {
-		state := "live"
-		switch {
-		case l.Released:
-			state = "released"
-		case l.Expired:
-			state = "expired"
-		}
-		fmt.Fprintf(out, "  %-16s %-12s %6d %-9s %dms\n", l.Tenant, l.Owner, l.Token, state, l.ExpiresInMS)
-	}
-}
-
 // renderMetrics prints the per-tenant progress table.
 func renderMetrics(out *os.File, m *serve.Metrics) {
 	state := "accepting"
@@ -318,16 +235,6 @@ func renderMetrics(out *os.File, m *serve.Metrics) {
 	}
 	fmt.Fprintf(out, "dipbenchd: %s | running %d queued %d shed %d\n",
 		state, m.Running, m.Queued, m.Shed)
-	if m.Cluster != nil {
-		alive := 0
-		for _, p := range m.Cluster.Peers {
-			if p.Alive {
-				alive++
-			}
-		}
-		fmt.Fprintf(out, "cluster: peer %s | %d/%d peers alive | failovers %d handoffs %d\n",
-			m.Cluster.Self, alive, len(m.Cluster.Peers), m.Cluster.Failovers, m.Cluster.Handoffs)
-	}
 	fmt.Fprintf(out, "scheduler: workers %d/%d depth %d dispatches %d steals %d | governor %.3g/%.3g\n",
 		m.Sched.Workers, m.Sched.MaxWorkers, m.Sched.QueueDepth,
 		m.Sched.Dispatches, m.Sched.Steals, m.Sched.Used, m.Sched.Capacity)

@@ -11,30 +11,12 @@ package checkpoint
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 )
-
-// ErrFenced reports a commit attempted with a stale fencing token: the
-// committer's lease on this checkpoint directory was claimed by a
-// higher token, so the committer is a previous — presumed dead —
-// incarnation whose late writes must not reach the manifest. The run
-// must stop; it cannot regain ownership.
-var ErrFenced = errors.New("checkpoint: stale fencing token, ownership lost")
-
-// FenceGuard gates manifest commits on ownership of the checkpoint
-// directory. In cluster deployments the guard is the owner's lease
-// (cluster.Lease): Token returns the monotonic fencing token stamped
-// into each manifest and Check re-validates ownership, failing with an
-// error wrapping ErrFenced once a successor claimed a higher token.
-type FenceGuard interface {
-	Token() uint64
-	Check() error
-}
 
 // Meta keys a checkpoint to one run configuration. Any mismatch between
 // the manifest's Meta and the resuming process's Meta aborts recovery.
@@ -62,31 +44,21 @@ type Manifest struct {
 	SnapshotSize int64  `json:"snapshot_size"`
 	WALOffset    int64  `json:"wal_offset"`
 	Seq          uint64 `json:"seq"`
-	// WAL names the WAL file WALOffset refers to. Empty means the legacy
-	// single wal.log; under a fence guard each ownership incarnation
-	// writes its own wal-<token>.log so a fenced owner's buffered
-	// appends can never land in its successor's log.
-	WAL string `json:"wal,omitempty"`
-	// Fence is the fencing token of the owner that committed this
-	// manifest (0 = unfenced standalone run). It never decreases: a
-	// commit carrying a lower token than the manifest on disk is
-	// rejected with ErrFenced.
-	Fence uint64 `json:"fence,omitempty"`
 }
 
 // manifestVersion pins the on-disk manifest format.
 const manifestVersion = 1
+
+// walFile is the WAL file every manifest's WALOffset refers to.
+const walFile = "wal.log"
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Manager owns one checkpoint directory: snapshots, manifest.json and
 // the WAL file all live under it.
 type Manager struct {
-	dir     string
-	seq     uint64
-	guard   FenceGuard
-	walName string
-	gcHook  func() // test hook, runs between manifest publish and pruning
+	dir string
+	seq uint64
 }
 
 // NewManager prepares a checkpoint directory, creating it if needed.
@@ -97,7 +69,7 @@ func NewManager(dir string) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: mkdir: %w", err)
 	}
-	m := &Manager{dir: dir, walName: "wal.log"}
+	m := &Manager{dir: dir}
 	if man, err := m.Latest(); err == nil {
 		m.seq = man.Seq
 	}
@@ -107,57 +79,15 @@ func NewManager(dir string) (*Manager, error) {
 // Dir returns the checkpoint directory.
 func (m *Manager) Dir() string { return m.dir }
 
-// SetFence installs the ownership guard: every Commit first calls
-// guard.Check and stamps guard.Token into the manifest. Must be set
-// before the first commit of a fenced run.
-func (m *Manager) SetFence(g FenceGuard) { m.guard = g }
-
-// SetWALName points the manager at this incarnation's WAL file
-// (wal-<token>.log under fencing). Superseded wal files are pruned on
-// the next successful commit.
-func (m *Manager) SetWALName(name string) { m.walName = name }
-
-// SetGCHook installs a test hook invoked after the manifest is
-// published but before superseded snapshots are pruned — the window a
-// concurrently resuming peer races against.
-func (m *Manager) SetGCHook(f func()) { m.gcHook = f }
-
-// WALPath returns the current WAL file path inside the checkpoint
-// directory (wal.log, or this incarnation's wal-<token>.log when
-// fenced).
-func (m *Manager) WALPath() string { return filepath.Join(m.dir, m.walName) }
+// WALPath returns the WAL file path inside the checkpoint directory.
+func (m *Manager) WALPath() string { return filepath.Join(m.dir, walFile) }
 
 func (m *Manager) manifestPath() string { return filepath.Join(m.dir, "manifest.json") }
 
 // Commit durably writes a new snapshot and publishes it in the manifest.
 // The returned manifest's Seq names the snapshot (snap-<seq>.bin); older
 // snapshots are deleted best-effort once superseded.
-//
-// Under a fence guard the commit is ownership-validated twice: the
-// guard re-reads the lease (a successor's higher token fails with
-// ErrFenced before anything is written), and the manifest on disk is
-// checked for fence regression — publishing over a higher-fenced
-// manifest is refused even if the lease read raced. A fenced owner
-// therefore halts at its first commit after losing ownership.
 func (m *Manager) Commit(meta Meta, period, barrier int, walOffset int64, snapshot []byte) (Manifest, error) {
-	var fence uint64
-	if m.guard != nil {
-		if err := m.guard.Check(); err != nil {
-			return Manifest{}, fmt.Errorf("checkpoint: commit rejected: %w", err)
-		}
-		fence = m.guard.Token()
-		if cur, err := m.Latest(); err == nil && cur.Fence > fence {
-			return Manifest{}, fmt.Errorf("checkpoint: manifest already fenced at token %d, ours is %d: %w",
-				cur.Fence, fence, ErrFenced)
-		}
-		if m.seq == 0 {
-			// A successor manager starts from the manifest it resumed; a
-			// fresh one must still never reuse snapshot names.
-			if cur, err := m.Latest(); err == nil {
-				m.seq = cur.Seq
-			}
-		}
-	}
 	m.seq++
 	name := fmt.Sprintf("snap-%06d.bin", m.seq)
 	if err := writeDurably(filepath.Join(m.dir, name), snapshot); err != nil {
@@ -173,10 +103,6 @@ func (m *Manager) Commit(meta Meta, period, barrier int, walOffset int64, snapsh
 		SnapshotSize: int64(len(snapshot)),
 		WALOffset:    walOffset,
 		Seq:          m.seq,
-		Fence:        fence,
-	}
-	if m.walName != "wal.log" {
-		man.WAL = m.walName
 	}
 	blob, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
@@ -184,9 +110,6 @@ func (m *Manager) Commit(meta Meta, period, barrier int, walOffset int64, snapsh
 	}
 	if err := writeDurably(m.manifestPath(), blob); err != nil {
 		return Manifest{}, err
-	}
-	if m.gcHook != nil {
-		m.gcHook()
 	}
 	m.pruneExcept(name)
 	return man, nil
@@ -215,34 +138,7 @@ func ReadManifest(dir string) (Manifest, error) {
 }
 
 // WALFile names the WAL file a manifest's WALOffset refers to.
-func (man Manifest) WALFile() string {
-	if man.WAL != "" {
-		return man.WAL
-	}
-	return "wal.log"
-}
-
-// LatestSnapshot loads the current manifest together with its snapshot
-// blob. Reading the manifest and the snapshot are two filesystem reads,
-// and a concurrent commit from a still-live previous owner can prune
-// the snapshot in between (GC racing a lease claim); each such race
-// has moved the manifest forward, so the read is simply retried against
-// the newer — equally valid — checkpoint.
-func (m *Manager) LatestSnapshot() (Manifest, []byte, error) {
-	var lastErr error
-	for attempt := 0; attempt < 5; attempt++ {
-		man, err := m.Latest()
-		if err != nil {
-			return Manifest{}, nil, err
-		}
-		blob, err := m.ReadSnapshot(man)
-		if err == nil {
-			return man, blob, nil
-		}
-		lastErr = err
-	}
-	return Manifest{}, nil, fmt.Errorf("checkpoint: snapshot kept vanishing under concurrent commits: %w", lastErr)
-}
+func (man Manifest) WALFile() string { return walFile }
 
 // ReadSnapshot loads and integrity-checks the snapshot a manifest names.
 func (m *Manager) ReadSnapshot(man Manifest) ([]byte, error) {
@@ -274,10 +170,8 @@ func CheckMeta(want, got Meta) error {
 	return nil
 }
 
-// pruneExcept removes superseded snapshot files, and — once a fenced
-// incarnation has committed — the wal files of previous incarnations
-// (their prefixes are covered by this manifest's snapshot). Failures
-// are ignored: stale files waste space but never break correctness.
+// pruneExcept removes superseded snapshot files. Failures are ignored:
+// stale files waste space but never break correctness.
 func (m *Manager) pruneExcept(keep string) {
 	entries, err := os.ReadDir(m.dir)
 	if err != nil {
@@ -286,10 +180,6 @@ func (m *Manager) pruneExcept(keep string) {
 	for _, e := range entries {
 		n := e.Name()
 		if strings.HasPrefix(n, "snap-") && strings.HasSuffix(n, ".bin") && n != keep {
-			_ = os.Remove(filepath.Join(m.dir, n))
-		}
-		if m.walName != "wal.log" && n != m.walName &&
-			(n == "wal.log" || (strings.HasPrefix(n, "wal-") && strings.HasSuffix(n, ".log"))) {
 			_ = os.Remove(filepath.Join(m.dir, n))
 		}
 	}

@@ -10,9 +10,9 @@ import (
 // TestChaosCrashRecoveryByteIdentity: crash + resume under active fault
 // injection must still produce the uninterrupted run's digest — the
 // fault plan's decision stream has to survive the process boundary.
-// Both engine variants the failover matrix exercises are covered; the
-// breaker is disabled as in the matrix (its cooldown is wall-clock, so
-// trips are order-sensitive and inherently non-reproducible).
+// Both engine variants serve's hard-kill restart test exercises are
+// covered; the breaker is disabled as there (its cooldown is wall-clock,
+// so trips are order-sensitive and inherently non-reproducible).
 func TestChaosCrashRecoveryByteIdentity(t *testing.T) {
 	variants := []struct {
 		name   string

@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/datagen"
 	"repro/internal/driver"
 	"repro/internal/engine"
@@ -157,13 +156,6 @@ type Config struct {
 	// instead of cold-starting: snapshot restore, WAL-suffix replay,
 	// idempotent re-execution of the interrupted streams.
 	Resume bool
-	// Fence, when non-nil, guards the durability layer with a cluster
-	// fencing token (the owner's lease): the WAL is segmented per
-	// ownership incarnation (wal-<token>.log) and every checkpoint
-	// commit re-validates ownership, so a stale owner fails loudly with
-	// checkpoint.ErrFenced instead of corrupting its successor's state.
-	// Requires WALDir.
-	Fence checkpoint.FenceGuard
 	// CrashAt injects a deterministic crash at "period:stream:occurrence"
 	// (e.g. "1:A:3" = after the 3rd completed stream-A event of period 1;
 	// occurrence 0 = at the stream's closing barrier, before its
@@ -344,8 +336,6 @@ func New(cfg Config) (*Benchmark, error) {
 		}
 	} else if cfg.Resume {
 		return fail(fmt.Errorf("core: Resume requires WALDir"))
-	} else if cfg.Fence != nil {
-		return fail(fmt.Errorf("core: Fence requires WALDir"))
 	}
 	if plan != nil {
 		scn.InstallFaultPlan(plan)
@@ -490,7 +480,7 @@ func (b *Benchmark) runTwin(ctx context.Context, label, okInfo string, mutate fu
 	cfg.ChaosVerify, cfg.ShardVerify = false, false
 	cfg.FastClock, cfg.Verify, cfg.MVCheckEvery, cfg.Trace = true, false, 0, false
 	cfg.OnPeriod, cfg.DrainCheck = nil, nil
-	cfg.WALDir, cfg.Fence, cfg.CheckpointEvery, cfg.Resume, cfg.CrashAt = "", nil, 0, false, ""
+	cfg.WALDir, cfg.CheckpointEvery, cfg.Resume, cfg.CrashAt = "", 0, false, ""
 	mutate(&cfg)
 	twin, err := New(cfg)
 	if err == nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -79,23 +78,13 @@ func checkpointMeta(cfg Config, eng *engine.Engine) checkpoint.Meta {
 }
 
 // newRecoveryController prepares the WAL and checkpoint manager. With
-// resume it restores the stack from the latest valid checkpoint and
-// returns the driver's Resume point; otherwise it starts a fresh WAL.
-//
-// Under a fence guard (cluster mode) every ownership incarnation writes
-// its own wal-<token>.log — even a resume starts a fresh log rather
-// than appending to the previous owner's, so a fenced-but-still-running
-// predecessor with a buffered WAL writer can never corrupt the records
-// this incarnation commits against. The predecessor's log stays on disk
-// until this incarnation's first checkpoint covers it.
+// resume it restores the stack from the latest valid checkpoint, reopens
+// wal.log for appending and returns the driver's Resume point; otherwise
+// it starts a fresh WAL.
 func newRecoveryController(cfg Config, scn *scenario.Scenario, eng *engine.Engine, mon *monitor.Monitor, plan *fault.Plan) (*recoveryController, *driver.Resume, error) {
 	mgr, err := checkpoint.NewManager(cfg.WALDir)
 	if err != nil {
 		return nil, nil, err
-	}
-	if cfg.Fence != nil {
-		mgr.SetFence(cfg.Fence)
-		mgr.SetWALName(fmt.Sprintf("wal-%09d.log", cfg.Fence.Token()))
 	}
 	rc := &recoveryController{
 		mgr: mgr, meta: checkpointMeta(cfg, eng), every: cfg.CheckpointEvery,
@@ -110,21 +99,12 @@ func newRecoveryController(cfg Config, scn *scenario.Scenario, eng *engine.Engin
 		if err != nil {
 			return nil, nil, err
 		}
-		if cfg.Fence != nil {
-			rc.w, err = wal.Create(mgr.WALPath(), walSyncEvery)
-		} else {
-			rc.w, err = wal.OpenAppend(mgr.WALPath(), walSyncEvery)
-		}
+		rc.w, err = wal.OpenAppend(mgr.WALPath(), walSyncEvery)
 	} else {
 		rc.w, err = wal.Create(mgr.WALPath(), walSyncEvery)
 	}
 	if err != nil {
 		return nil, nil, err
-	}
-	if cfg.Fence != nil {
-		if _, err := rc.w.Append(wal.TypeFence, (wal.FenceNote{Token: cfg.Fence.Token()}).Encode()); err != nil {
-			return nil, nil, err
-		}
 	}
 	eng.SetDLQSink(rc.deadLetter)
 	return rc, res, nil
@@ -135,10 +115,11 @@ func newRecoveryController(cfg Config, scn *scenario.Scenario, eng *engine.Engin
 // dedup map of events acknowledged after the checkpoint but before the
 // crash.
 func (rc *recoveryController) recover() (*driver.Resume, error) {
-	// LatestSnapshot retries the manifest+snapshot pair: a failover
-	// claimant can race the previous owner's last commits, whose GC
-	// prunes the snapshot the stale manifest read had named.
-	man, blob, err := rc.mgr.LatestSnapshot()
+	man, err := rc.mgr.Latest()
+	if err != nil {
+		return nil, err
+	}
+	blob, err := rc.mgr.ReadSnapshot(man)
 	if err != nil {
 		return nil, err
 	}
@@ -161,9 +142,7 @@ func (rc *recoveryController) recover() (*driver.Resume, error) {
 	snapshotLat := time.Since(t0)
 
 	t1 := time.Now()
-	// Replay the suffix of the WAL file the manifest names — under
-	// fencing that is the previous incarnation's log, not ours.
-	recs, _, _, err := wal.ReadAll(filepath.Join(rc.mgr.Dir(), man.WALFile()), man.WALOffset)
+	recs, _, _, err := wal.ReadAll(rc.mgr.WALPath(), man.WALOffset)
 	if err != nil {
 		return nil, err
 	}

@@ -2,12 +2,13 @@ package fault
 
 import "sync/atomic"
 
-// DaemonKill is the deterministic daemon-kill plan for cluster failover
-// chaos: the daemon dies hard — no drain, no lease release, nothing
-// beyond what the durability tiers already made durable — after the Nth
-// completed tenant period it observes, reproducing kill -9 at a
-// reproducible point. cmd/dipbenchd arms it with -kill-after and exits
-// 137 when it fires; CI asserts a surviving peer resumes the tenants.
+// DaemonKill is the deterministic daemon-kill plan for hard-kill
+// restart chaos: the daemon dies hard — no drain, nothing beyond what
+// the durability tiers already made durable — after the Nth completed
+// tenant period it observes, reproducing kill -9 at a reproducible
+// point. cmd/dipbenchd arms it with -kill-after and exits 137 when it
+// fires; CI asserts that a restart on the same data dir resumes the
+// tenants with their solo digests.
 type DaemonKill struct {
 	after int64
 	seen  atomic.Int64

@@ -51,12 +51,10 @@ func (g *Governor) Used() float64 {
 	return g.used
 }
 
-// SetCapacity resizes the admissible weight (clamped to >= 1) — the
-// per-daemon scope knob in cluster deployments, where several daemons
-// sharing one host each govern their own slice of it. Growing wakes
-// waiters immediately; shrinking never evicts admitted clients, the
-// governor simply stops admitting until Releases bring the used weight
-// back under the new capacity.
+// SetCapacity resizes the admissible weight (clamped to >= 1). Growing
+// wakes waiters immediately; shrinking never evicts admitted clients,
+// the governor simply stops admitting until Releases bring the used
+// weight back under the new capacity.
 func (g *Governor) SetCapacity(capacity float64) {
 	if capacity < 1 {
 		capacity = 1

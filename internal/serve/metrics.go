@@ -1,7 +1,5 @@
 package serve
 
-import "repro/internal/cluster"
-
 // Metrics is the live snapshot the daemon's /metrics endpoint serves and
 // `dipmon -live` renders. The types are JSON-stable: both sides of the
 // wire import this package.
@@ -18,9 +16,6 @@ type Metrics struct {
 	// Sched snapshots the shared work-stealing scheduler all running
 	// tenants compete on.
 	Sched SchedMetrics `json:"sched"`
-	// Cluster is the placement view (peers, leases, failovers) when the
-	// daemon runs in cluster mode; nil standalone.
-	Cluster *cluster.Status `json:"cluster,omitempty"`
 }
 
 // SchedMetrics is the pool-level view of the shared scheduler plus its

@@ -90,11 +90,7 @@ func TestRetryAfterTracksBacklog(t *testing.T) {
 		}
 		for i, share := range queued {
 			id := fmt.Sprintf("q%d", i)
-			state := StateQueued
-			if i%2 == 1 {
-				state = StateHandoff // claimed-but-waiting counts as backlog too
-			}
-			s.tenants[id] = &tenant{id: id, state: state, spec: RunSpec{Share: share}}
+			s.tenants[id] = &tenant{id: id, state: StateQueued, spec: RunSpec{Share: share}}
 		}
 		// A running tenant is not backlog.
 		s.tenants["r"] = &tenant{id: "r", state: StateRunning, spec: RunSpec{Share: 100}}

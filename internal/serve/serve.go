@@ -54,7 +54,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/sched"
 )
@@ -82,27 +81,10 @@ type Options struct {
 	// MaxTenants * DefaultShare.
 	DefaultShare float64
 
-	// PeerID enables cluster mode: the daemon joins the peer table under
-	// ClusterDir and acquires a per-tenant lease (carrying a fencing
-	// token) before admitting any tenant, so N daemons can share one
-	// DataDir without ever running a tenant twice. Empty = standalone.
-	PeerID string
-	// ClusterDir is the shared coordination directory (defaults to
-	// DataDir/cluster). All daemons of a cluster must use the same one.
-	ClusterDir string
-	// LeaseTTL and Heartbeat tune failure detection (defaults 10s and
-	// LeaseTTL/4): a dead daemon's tenants are claimed by a peer at most
-	// LeaseTTL + one Heartbeat after its last renewal.
-	LeaseTTL  time.Duration
-	Heartbeat time.Duration
-	// Addr is this daemon's advertised control-plane address, recorded
-	// in the peer table (informational).
-	Addr string
-
 	// Kill arms the deterministic daemon-kill chaos plan: after its Nth
 	// observed completed tenant period OnKill fires once —
 	// cmd/dipbenchd exits 137 there, reproducing kill -9 at a
-	// reproducible point for the failover CI job.
+	// reproducible point for the hard-kill restart CI step.
 	Kill   *fault.DaemonKill
 	OnKill func()
 }
@@ -136,7 +118,6 @@ type Server struct {
 	shed     atomic.Uint64
 	workerWG sync.WaitGroup // dispatcher + tenant runs finish before Drain returns
 	gov      *sched.Governor
-	cluster  *cluster.Manager // non-nil in cluster mode
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -170,22 +151,6 @@ func NewServer(opts Options) (*Server, error) {
 	})
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /cluster", s.handleCluster)
-	if opts.PeerID != "" {
-		cdir := opts.ClusterDir
-		if cdir == "" {
-			cdir = filepath.Join(opts.DataDir, "cluster")
-		}
-		mgr, err := cluster.Join(cluster.Options{
-			Dir: cdir, Peer: opts.PeerID, Addr: opts.Addr,
-			LeaseTTL: opts.LeaseTTL, Heartbeat: opts.Heartbeat,
-			OnClaim: s.claimTenant,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.cluster = mgr
-	}
 	pending, err := s.recoverTenants()
 	if err != nil {
 		return nil, err
@@ -199,15 +164,10 @@ func NewServer(opts Options) (*Server, error) {
 	// Concurrency is governed by fair-share capacity on the process-wide
 	// scheduler, not by a goroutine per slot: one dispatcher admits queued
 	// tenants as weight frees up and spawns a goroutine per RUNNING
-	// tenant only. In cluster mode each daemon governs its own capacity —
-	// the scope knob for N daemons sharing one host.
+	// tenant only.
 	s.gov = sched.NewGovernor(sched.Default(), float64(opts.MaxTenants)*opts.DefaultShare)
 	s.workerWG.Add(1)
 	go s.dispatch()
-	// Claims begin only once the queue and dispatcher exist.
-	if s.cluster != nil {
-		s.cluster.Start()
-	}
 	return s, nil
 }
 
@@ -231,12 +191,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		// Every run has stopped at a committed checkpoint and persisted
-		// its state; hand the remaining leases (queued tenants that never
-		// started) to live peers and leave the cluster.
-		if s.cluster != nil {
-			s.cluster.Close()
-		}
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -244,20 +198,16 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Kill hard-stops the daemon in-process — the test double of kill -9
-// for the failover suites (CI kills a real process via the fault
-// daemon-kill plan). Nothing is persisted, handed off or released: the
-// tenant files keep whatever state was last written, lease renewals
-// stop without releasing, and surviving peers must detect the death by
-// lease expiry alone. (Unlike a real kill the Go runtime keeps running,
-// so deferred Closes still flush buffers — that only makes MORE of the
-// WAL durable than a real kill would, which recovery tolerates by
-// construction.)
+// for the hard-kill restart test (CI kills a real process via the
+// fault daemon-kill plan). Nothing is persisted: the tenant files keep
+// whatever state was last written, and a daemon restarted on the same
+// DataDir re-admits every unfinished tenant, resuming the checkpointed
+// ones. (Unlike a real kill the Go runtime keeps running, so deferred
+// Closes still flush buffers — that only makes MORE of the WAL durable
+// than a real kill would, which recovery tolerates by construction.)
 func (s *Server) Kill() {
 	s.killed.Store(true)
 	s.draining.Store(true)
-	if s.cluster != nil {
-		s.cluster.Abandon()
-	}
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.mu.Lock()
 	for _, t := range s.tenants {
@@ -267,75 +217,6 @@ func (s *Server) Kill() {
 	}
 	s.mu.Unlock()
 	s.workerWG.Wait()
-}
-
-// claimTenant is the failover path, invoked from the cluster scan loop
-// the moment this daemon claims an expired or handed-off lease: the
-// previous owner is dead (or drained), so load the tenant's durable
-// state from the shared DataDir and re-admit it. A committed checkpoint
-// makes the run an exactly-once resume; the incremented fencing token
-// in the lease guarantees the previous owner — should it wake up — can
-// no longer commit.
-func (s *Server) claimTenant(id string, l *cluster.Lease) {
-	dir := filepath.Join(s.opts.DataDir, "tenants", id)
-	data, err := os.ReadFile(filepath.Join(dir, "tenant.json"))
-	if err != nil {
-		// A lease with no durable tenant behind it: retire it.
-		s.cluster.Release(l)
-		return
-	}
-	var rec tenantRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		s.cluster.Release(l)
-		return
-	}
-	t := &tenant{id: rec.ID, spec: rec.Spec, dir: dir, state: StateHandoff, lease: l}
-	if rdata, err := os.ReadFile(filepath.Join(dir, "result.json")); err == nil {
-		var res resultRecord
-		if json.Unmarshal(rdata, &res) == nil {
-			switch res.State {
-			case StateDone, StateFailed, StateCanceled:
-				// Finished before its owner died; nothing to resume.
-				s.cluster.Release(l)
-				return
-			}
-		}
-	}
-	s.mu.Lock()
-	if old, ok := s.tenants[id]; ok {
-		switch old.state {
-		case StateQueued, StateRunning, StateDraining, StateHandoff:
-			// Already live here — the scan skips held leases, so this is
-			// only reachable on a stale in-memory record; keep it.
-			s.mu.Unlock()
-			return
-		}
-		// Terminal record from a previous life of the tenant: replace it.
-	} else {
-		s.order = append(s.order, id)
-	}
-	s.tenants[id] = t
-	s.mu.Unlock()
-	_ = t.persist(StateHandoff)
-	s.enqueue(t)
-}
-
-// enqueue admits a claimed tenant to the dispatch queue. Failover
-// claims arrive after the queue was sized, so a full queue falls back
-// to a goroutine send bounded by daemon shutdown.
-func (s *Server) enqueue(t *tenant) {
-	select {
-	case s.queue <- t:
-	default:
-		s.workerWG.Add(1)
-		go func() {
-			defer s.workerWG.Done()
-			select {
-			case s.queue <- t:
-			case <-s.stop:
-			}
-		}()
-	}
 }
 
 // dispatch admits queued tenants by governor capacity: each tenant's
@@ -377,9 +258,7 @@ func (s *Server) dispatch() {
 
 // recoverTenants rescans DataDir after a daemon restart: terminal
 // tenants are loaded for inspection, unfinished ones returned for
-// re-admission. In cluster mode each unfinished tenant's lease is
-// acquired first — a tenant owned by a live peer belongs to that peer
-// and is skipped entirely.
+// re-admission.
 //
 // Re-admission order is deterministic and favors resumption:
 // checkpointed tenants (holding a committed manifest) come before
@@ -428,14 +307,6 @@ func (s *Server) recoverTenants() ([]*tenant, error) {
 			// queued, running, draining or checkpointed at the time the
 			// previous daemon stopped: run it (again). A committed
 			// checkpoint makes it a resume; otherwise it cold-starts.
-			if s.cluster != nil {
-				l, err := s.cluster.Acquire(t.id)
-				if err != nil {
-					// Owned by a live peer (or unreadable): not ours.
-					continue
-				}
-				t.lease = l
-			}
 			t.state = StateQueued
 			pending = append(pending, t)
 		}
@@ -514,7 +385,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	active := 0
 	for _, existing := range s.tenants {
 		switch existing.state {
-		case StateQueued, StateRunning, StateDraining, StateHandoff:
+		case StateQueued, StateRunning, StateDraining:
 			active++
 		}
 	}
@@ -535,29 +406,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, t.id)
 	s.mu.Unlock()
 
-	// Cluster mode: the lease must be won BEFORE anything touches the
-	// shared tenant directory — if a peer owns this name, its directory
-	// is live state we must not create over or clean up.
-	if s.cluster != nil {
-		l, err := s.cluster.Acquire(t.id)
-		if err != nil {
-			s.dropTenant(t.id)
-			if errors.Is(err, cluster.ErrOwned) {
-				http.Error(w, "run "+t.id+" is owned by another daemon: "+err.Error(), http.StatusConflict)
-				return
-			}
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		t.lease = l
-	}
 	if err := os.MkdirAll(t.dir, 0o755); err != nil {
-		s.abortSubmit(t)
+		s.dropTenant(t.id)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	if err := t.persist(StateQueued); err != nil {
-		s.abortSubmit(t)
+		s.dropTenant(t.id)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -569,21 +424,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		// Unreachable while the admission bound holds (the channel is
 		// sized for the full admitted population); shed defensively.
-		s.abortSubmit(t)
+		s.dropTenant(t.id)
 		_ = os.RemoveAll(t.dir)
 		s.shed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		http.Error(w, "run queue full", http.StatusTooManyRequests)
-	}
-}
-
-// abortSubmit unwinds a failed admission: forget the tenant and retire
-// the lease it may have claimed.
-func (s *Server) abortSubmit(t *tenant) {
-	s.dropTenant(t.id)
-	if t.lease != nil && s.cluster != nil {
-		s.cluster.Release(t.lease)
-		t.lease = nil
 	}
 }
 
@@ -596,8 +441,7 @@ func (s *Server) retryAfterSeconds() int {
 	var queued float64
 	s.mu.Lock()
 	for _, t := range s.tenants {
-		switch t.state {
-		case StateQueued, StateHandoff:
+		if t.state == StateQueued {
 			queued += t.share(s.opts.DefaultShare)
 		}
 	}
@@ -616,7 +460,8 @@ func (s *Server) retryAfterSeconds() int {
 	return int((d + time.Second - 1) / time.Second)
 }
 
-// dropTenant removes a tenant that never entered the queue.
+// dropTenant unwinds a failed admission: it forgets a tenant that never
+// entered the queue.
 func (s *Server) dropTenant(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -700,15 +545,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSONResponse(w, s.snapshot())
 }
 
-// handleCluster serves the placement view; 404 standalone.
-func (s *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	if s.cluster == nil {
-		http.Error(w, "not in cluster mode", http.StatusNotFound)
-		return
-	}
-	writeJSONResponse(w, s.cluster.Status())
-}
-
 // snapshot assembles the live Metrics view.
 func (s *Server) snapshot() Metrics {
 	s.mu.Lock()
@@ -721,7 +557,7 @@ func (s *Server) snapshot() Metrics {
 		t := s.tenants[id]
 		tm := s.tenantMetricsLocked(t)
 		switch tm.State {
-		case StateQueued, StateHandoff:
+		case StateQueued:
 			m.Queued++
 		case StateRunning, StateDraining:
 			m.Running++
@@ -736,11 +572,6 @@ func (s *Server) snapshot() Metrics {
 		Capacity: s.gov.Capacity(), Used: s.gov.Used(),
 	}
 	s.mu.Unlock()
-	// Cluster status reads coordination files; keep it off the mu.
-	if s.cluster != nil {
-		cs := s.cluster.Status()
-		m.Cluster = &cs
-	}
 	return m
 }
 

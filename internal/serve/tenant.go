@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/fault"
@@ -24,16 +22,11 @@ import (
 // and a checkpointed or queued tenant is re-admitted by the restarted
 // daemon — checkpointed ones resume from their barrier checkpoint
 // exactly-once, queued ones cold-start.
-//
-// In cluster mode a tenant claimed from a dead or drained peer enters
-// handoff — queued on its new owner, about to resume from the
-// checkpoint directory the previous owner left behind.
 const (
 	StateQueued       = "queued"
 	StateRunning      = "running"
 	StateDraining     = "draining"
 	StateCheckpointed = "checkpointed"
-	StateHandoff      = "handoff"
 	StateDone         = "done"
 	StateFailed       = "failed"
 	StateCanceled     = "canceled"
@@ -63,8 +56,8 @@ type RunSpec struct {
 	// BreakerThreshold overrides the circuit-breaker failure ratio when
 	// > 0; a value above 1 effectively disables trips. Breaker cooldowns
 	// are wall-clock and their trips order-sensitive, so runs that must
-	// reproduce a byte-identical state digest across daemons (failover
-	// verification) disable them.
+	// reproduce a byte-identical state digest across a daemon restart
+	// (hard-kill verification) disable them.
 	BreakerThreshold float64 `json:"breaker_threshold,omitempty"`
 
 	Columnar        string `json:"columnar,omitempty"`
@@ -101,7 +94,6 @@ type tenant struct {
 	cancel      context.CancelFunc
 	bench       *core.Benchmark // non-nil while running
 	sched       *sched.Handle   // non-nil while admitted
-	lease       *cluster.Lease  // non-nil in cluster mode; the fencing guard
 	schedTasks  uint64          // morsels executed (caller + pool workers)
 	schedStolen uint64          // tokens stolen while running
 }
@@ -142,18 +134,12 @@ func (t *tenant) coreConfig(checkpointEvery int, h *sched.Handle, drain func() b
 	if t.spec.CheckpointEvery > 0 {
 		checkpointEvery = t.spec.CheckpointEvery
 	}
-	// A typed-nil *cluster.Lease must not become a non-nil FenceGuard.
-	var fence checkpoint.FenceGuard
-	if t.lease != nil {
-		fence = t.lease
-	}
 	var pol *fault.Policy
 	if t.spec.BreakerThreshold > 0 {
 		pol = &fault.Policy{BreakerThreshold: t.spec.BreakerThreshold}
 	}
 	return core.Config{
 		Resilience:      pol,
-		Fence:           fence,
 		Scheduler:       h,
 		Datasize:        t.spec.Datasize,
 		TimeScale:       t.spec.TimeScale,
@@ -260,9 +246,8 @@ func (s *Server) runTenant(t *tenant, h *sched.Handle) {
 	if s.killed.Load() {
 		// The daemon was hard-killed mid-run (Kill, the in-process
 		// kill -9 double): leave every durable trace exactly as the kill
-		// found it — no state transition, no persist, no lease release.
-		// A surviving peer detects the lease expiry and resumes the
-		// tenant from its last committed checkpoint.
+		// found it — no state transition, no persist. The restarted
+		// daemon resumes the tenant from its last committed checkpoint.
 		s.mu.Lock()
 		t.bench, t.cancel, t.sched = nil, nil, nil
 		s.mu.Unlock()
@@ -276,15 +261,11 @@ func (s *Server) runTenant(t *tenant, h *sched.Handle) {
 		}
 		s.finishTenant(t, StateDone, b.StateDigest(), report, "")
 	case errors.Is(err, driver.ErrDrained):
-		// The run stopped at a committed barrier; Close syncs the WAL
-		// tail, then the lease is handed off so a live peer (or this
-		// daemon's restart) resumes from the checkpoint. Close must come
-		// before the hand-off: the lease becomes claimable only once the
-		// checkpoint directory is complete.
+		// The run stopped at a committed barrier; the restarted daemon
+		// resumes it from the checkpoint (the deferred Close syncs the
+		// WAL tail).
 		s.setTenantState(t, StateCheckpointed)
 		_ = t.persist(StateCheckpointed)
-		_ = b.Close()
-		s.handoffLease(t)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.finishTenant(t, StateFailed, "", "",
 			fmt.Sprintf("watchdog: run exceeded %v deadline", s.opts.Watchdog))
@@ -292,18 +273,6 @@ func (s *Server) runTenant(t *tenant, h *sched.Handle) {
 		s.finishTenant(t, StateCanceled, "", "", "canceled")
 	default:
 		s.finishTenant(t, StateFailed, "", "", err.Error())
-	}
-}
-
-// handoffLease surrenders a checkpointed tenant's lease for immediate
-// claim by a live peer.
-func (s *Server) handoffLease(t *tenant) {
-	s.mu.Lock()
-	l := t.lease
-	t.lease = nil
-	s.mu.Unlock()
-	if l != nil && s.cluster != nil {
-		s.cluster.Handoff(l)
 	}
 }
 
@@ -327,25 +296,14 @@ func (s *Server) finishTenant(t *tenant, state, digest, report, errMsg string) {
 	t.bench = nil
 	t.cancel = nil
 	t.sched = nil
-	lease := t.lease
-	t.lease = nil
 	rec := resultRecord{
 		State: state, Digest: digest, Report: report, Error: errMsg,
 		PeriodsDone: t.periodsDone, Events: t.events, Failures: t.failures,
 		Retries: t.retries, Trips: t.trips, DeadLetters: t.deadLetters,
 	}
 	s.mu.Unlock()
-	// A fenced owner reaching a terminal state (typically Failed with
-	// ErrFenced) no longer owns tenant.json — its successor does; only
-	// the owner may write the durable record or retire the lease
-	// (Release is ownership-checked again on disk).
-	if lease == nil || lease.Check() == nil {
-		_ = t.persist(state)
-		_ = t.persistResult(rec)
-	}
-	if lease != nil && s.cluster != nil {
-		s.cluster.Release(lease)
-	}
+	_ = t.persist(state)
+	_ = t.persistResult(rec)
 }
 
 // setTenantState updates the in-memory state only.

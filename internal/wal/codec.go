@@ -35,13 +35,6 @@ type BarrierNote struct {
 	Manifest uint64
 }
 
-// FenceNote is the payload of Fence records: the owner and fencing
-// token of the incarnation that opened this WAL file.
-type FenceNote struct {
-	Owner string
-	Token uint64
-}
-
 // enc is a tiny append-only encoder: varints plus length-prefixed
 // strings, enough for the fixed payload shapes above.
 type enc struct{ b []byte }
@@ -181,20 +174,5 @@ func DecodeBarrierNote(b []byte) (BarrierNote, error) {
 		Barrier:  int(d.varint()),
 		Manifest: d.uvarint(),
 	}
-	return n, d.err
-}
-
-// Encode serializes the fence payload.
-func (n FenceNote) Encode() []byte {
-	var e enc
-	e.str(n.Owner)
-	e.uvarint(n.Token)
-	return e.b
-}
-
-// DecodeFenceNote parses a FenceNote payload.
-func DecodeFenceNote(b []byte) (FenceNote, error) {
-	d := dec{b: b}
-	n := FenceNote{Owner: d.str(), Token: d.uvarint()}
 	return n, d.err
 }

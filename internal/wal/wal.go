@@ -53,10 +53,10 @@ const (
 	// TypeAck records the completion of a dispatched event (Failed marks
 	// an instance failure). Payload: Event.
 	TypeAck
-	// typeRetired (5) recorded extraction-watermark advances until the
-	// change journal was removed. The number stays taken so that the
-	// types after it keep theirs; Append rejects it.
-	typeRetired
+	// typeRetiredWatermark (5) recorded extraction-watermark advances
+	// until the change journal was removed. The number stays taken so
+	// that the types after it keep theirs; Append rejects it.
+	typeRetiredWatermark
 	// TypeDLQ records a dead-lettered E1 message. Payload: DLQEntry.
 	TypeDLQ
 	// TypeStreamEnd marks a stream's completion (all its instances
@@ -65,10 +65,10 @@ const (
 	// TypeBarrier marks a committed checkpoint barrier; recovery resumes
 	// from the snapshot the marker names. Payload: BarrierNote.
 	TypeBarrier
-	// TypeFence opens an ownership incarnation's WAL: the first record
-	// of every fenced (cluster-mode) log, naming the owner and its
-	// fencing token for the audit trail. Payload: FenceNote.
-	TypeFence
+	// typeRetiredFence (9) opened each ownership incarnation's WAL
+	// until the multi-daemon cluster was removed. Like 5, the number
+	// stays taken and Append rejects it.
+	typeRetiredFence
 )
 
 // String names the record type.
@@ -88,8 +88,6 @@ func (t Type) String() string {
 		return "STREAM_END"
 	case TypeBarrier:
 		return "BARRIER"
-	case TypeFence:
-		return "FENCE"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
@@ -164,7 +162,7 @@ func newWriter(f *os.File, off int64, syncEvery int) *Writer {
 // Append writes one record and returns the logical offset just past it.
 // Every SyncEvery-th record triggers a flush+fsync (group commit).
 func (w *Writer) Append(t Type, payload []byte) (int64, error) {
-	if t == typeRetired {
+	if t == typeRetiredWatermark || t == typeRetiredFence {
 		return 0, fmt.Errorf("wal: record type %d is retired", uint8(t))
 	}
 	if len(payload)+1 > maxRecord {

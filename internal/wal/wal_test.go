@@ -68,11 +68,11 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 // TestRecordTypeNumbers pins the on-disk type numbers: logs written
 // before a type was retired must still read the same, and the retired
-// slot 5 is never written again.
+// slots 5 and 9 are never written again.
 func TestRecordTypeNumbers(t *testing.T) {
 	want := map[Type]uint8{
 		TypePeriodBegin: 1, TypeStreamBegin: 2, TypeDispatch: 3, TypeAck: 4,
-		TypeDLQ: 6, TypeStreamEnd: 7, TypeBarrier: 8, TypeFence: 9,
+		TypeDLQ: 6, TypeStreamEnd: 7, TypeBarrier: 8,
 	}
 	for typ, n := range want {
 		if uint8(typ) != n {
@@ -84,8 +84,13 @@ func TestRecordTypeNumbers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, err := w.Append(Type(5), nil); err == nil {
-		t.Fatal("Append accepted the retired type 5")
+	for _, retired := range []Type{5, 9} {
+		if _, err := w.Append(retired, nil); err == nil {
+			t.Fatalf("Append accepted the retired type %d", uint8(retired))
+		}
+	}
+	if got := Type(9).String(); got != "Type(9)" {
+		t.Errorf("retired type 9 is named %q", got)
 	}
 }
 
