@@ -76,9 +76,6 @@ func NewManager(dir string) (*Manager, error) {
 	return m, nil
 }
 
-// Dir returns the checkpoint directory.
-func (m *Manager) Dir() string { return m.dir }
-
 // WALPath returns the WAL file path inside the checkpoint directory.
 func (m *Manager) WALPath() string { return filepath.Join(m.dir, walFile) }
 
