@@ -760,46 +760,6 @@ func BenchmarkStreamCD(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamCDSharded measures the region-sharded execution of the
-// same warehouse-load + mart-refresh chain (results/perf_pr7.md): shard_0
-// is the single-engine baseline, shard_1 pays the coordinator/exchange
-// overhead without any cross-region concurrency, and shard_3 runs one
-// shard per business region — region extractions execute concurrently
-// under the merge barrier and the three mart refreshes fan out. All legs
-// run par=4 with columnar kernels so the speedup isolates the sharding
-// layer; at d=0.1 the per-region batches are too small for the fan-out to
-// pay, at d=4 shard_3 is the headline number.
-func BenchmarkStreamCDSharded(b *testing.B) {
-	for _, d := range []float64{0.1, 4} {
-		for _, shards := range []int{0, 1, 3} {
-			name := fmt.Sprintf("d_%g/shard_%d", d, shards)
-			b.Run(name, func(b *testing.B) {
-				benchWorkers(b, 8)
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					s, _ := benchScenario(b, d)
-					opts := engine.Options{PlanCache: true, Parallelism: 4, Columnar: true, Shards: shards}
-					eng, err := engine.New("streamcd_sharded", opts, processes.MustNew(), s.Gateway(), nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, pre := range []string{"P05", "P06", "P07"} {
-						if err := eng.Execute(pre, nil, 0); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StartTimer()
-					for _, id := range []string{"P12", "P13", "P14", "P15"} {
-						if err := eng.Execute(id, nil, 0); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkSchedulerMultiTenant A/B-compares N concurrent StreamCD
 // tenants on the shared work-stealing scheduler against the same tenants
 // each running a private scheduler of its own — the PR8 per-tenant pool

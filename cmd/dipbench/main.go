@@ -26,8 +26,6 @@
 //	-fault-seed n fault plan seed (defaults to -seed)
 //	-chaos-verify verify the integrated data against a fault-free twin run
 //	-columnar s       force vectorized columnar kernels on|off (default: engine preset)
-//	-shards n         partition the engine into n region shards, 0..3 (default 0: unsharded)
-//	-shard-verify     verify the integrated data against an unsharded twin run
 //	-mv-check n       recompute every OrdersMV from scratch every n periods
 //	-wal-dir path     enable crash-consistent checkpointing into this directory
 //	-checkpoint-every n  snapshot cadence: 1 = every barrier, N = every Nth period end
@@ -85,8 +83,6 @@ func main() {
 		fltSeed = flag.Uint64("fault-seed", 0, "fault plan seed (defaults to -seed)")
 		chaos   = flag.Bool("chaos-verify", false, "after a faulty run, verify the integrated data against a fault-free twin run")
 		colr    = flag.String("columnar", "", "force vectorized columnar kernels: on|off (default: engine preset)")
-		shards  = flag.Int("shards", 0, "partition the engine into n region shards (0 = unsharded, max 3)")
-		shardV  = flag.Bool("shard-verify", false, "verify the integrated data against an unsharded twin run")
 		mvEvery = flag.Int("mv-check", 0, "recompute every OrdersMV from scratch every n periods and abort on divergence (0 disables)")
 		warmup  = flag.Int("warmup", 0, "discard the first N periods from the metric")
 		csvPath = flag.String("csv", "", "write report CSV to this path")
@@ -191,8 +187,6 @@ func main() {
 		FaultSeed:       *fltSeed,
 		ChaosVerify:     *chaos,
 		Columnar:        *colr,
-		Shards:          *shards,
-		ShardVerify:     *shardV,
 		MVCheckEvery:    *mvEvery,
 		WALDir:          *walDir,
 		CheckpointEvery: *ckptN,
@@ -205,12 +199,8 @@ func main() {
 	}
 	defer b.Close()
 
-	fmt.Printf("DIPBench: engine=%s d=%g t=%g f=%s periods=%d seed=%d",
+	fmt.Printf("DIPBench: engine=%s d=%g t=%g f=%s periods=%d seed=%d\n",
 		*eng, *d, *t, *f, *periods, *seed)
-	if *shards > 0 {
-		fmt.Printf(" shards=%d", *shards)
-	}
-	fmt.Println()
 	// Ctrl-C cancels the run gracefully (in-flight instances finish).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -286,13 +276,6 @@ func main() {
 		fmt.Println()
 		fmt.Print(res.Chaos)
 		if !res.Chaos.OK() {
-			defer os.Exit(1)
-		}
-	}
-	if res.Shard != nil {
-		fmt.Println()
-		fmt.Print(res.Shard)
-		if !res.Shard.OK() {
 			defer os.Exit(1)
 		}
 	}

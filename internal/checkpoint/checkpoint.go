@@ -27,10 +27,6 @@ type Meta struct {
 	Dist      string  `json:"dist"`
 	Engine    string  `json:"engine"`
 	Periods   int     `json:"periods"`
-	// Shards is the engine's region-shard count (0 = unsharded). The
-	// snapshot carries per-shard engine state, so a run with a different
-	// shard count has nowhere to restore it.
-	Shards int `json:"shards"`
 }
 
 // Manifest describes the latest committed checkpoint.
@@ -46,8 +42,11 @@ type Manifest struct {
 	Seq          uint64 `json:"seq"`
 }
 
-// manifestVersion pins the on-disk manifest format.
-const manifestVersion = 1
+// manifestVersion pins the on-disk manifest format. Version 2 dropped
+// the region-shard count from Meta together with the per-shard engine
+// state in the snapshot: a version-1 checkpoint of a sharded run would
+// otherwise resume with its shards' queue tables silently missing.
+const manifestVersion = 2
 
 // walFile is the WAL file every manifest's WALOffset refers to.
 const walFile = "wal.log"
@@ -157,10 +156,6 @@ func (m *Manager) ReadSnapshot(man Manifest) ([]byte, error) {
 // CheckMeta verifies that a resuming run's configuration matches the
 // checkpoint's; a silent mismatch would replay into unrecoverable state.
 func CheckMeta(want, got Meta) error {
-	if want.Shards != got.Shards {
-		return fmt.Errorf("checkpoint: shard count mismatch: checkpoint was taken with %d shards but this run uses %d — a -shards run can only resume a snapshot taken with the same shard count",
-			want.Shards, got.Shards)
-	}
 	if want != got {
 		return fmt.Errorf("checkpoint: run configuration mismatch: checkpoint %+v vs run %+v", want, got)
 	}

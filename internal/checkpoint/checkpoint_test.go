@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -128,5 +129,31 @@ func TestLatestWithoutManifestErrors(t *testing.T) {
 	}
 	if _, err := m.Latest(); err == nil {
 		t.Fatal("Latest on empty dir must error")
+	}
+}
+
+// TestVersion1ManifestRefused pins the format bump that dropped Meta's
+// region-shard count: a manifest written by a sharded version-1 build
+// must fail loudly on read instead of resuming without the shard state
+// its snapshot carries.
+func TestVersion1ManifestRefused(t *testing.T) {
+	dir := t.TempDir()
+	v1 := `{
+  "version": 1,
+  "meta": {"seed": 42, "datasize": 0.02, "time_scale": 1, "dist": "uniform", "engine": "pipeline", "periods": 3, "shards": 2},
+  "period": 1,
+  "barrier": 2,
+  "snapshot": "snap-000001.bin",
+  "snapshot_crc": 0,
+  "snapshot_size": 0,
+  "wal_offset": 0,
+  "seq": 1
+}`
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadManifest(dir)
+	if err == nil || !strings.Contains(err.Error(), "manifest version 1, want 2") {
+		t.Fatalf("version-1 manifest: got %v, want the version error", err)
 	}
 }

@@ -72,14 +72,19 @@ func TestColumnarMatchesRowRemote(t *testing.T) {
 // TestColumnarComposesWithChaos proves the toggles stack: a faulty run on
 // columnar kernels must still pass the built-in fault-free twin
 // verification, whose twin inherits Columnar "on" and so exercises the
-// vectorized path too.
+// vectorized path too. The run builds exactly two benchmarks: itself and
+// the one twin.
 func TestColumnarComposesWithChaos(t *testing.T) {
 	cfg := Config{
 		Datasize: 0.004, Periods: 2, Seed: 11, FastClock: true,
 		Engine: EnginePipeline, Columnar: "on",
 		FaultRate: 0.05, ChaosVerify: true,
 	}
+	before := built.Load()
 	_, res := runSnapshot(t, cfg)
+	if n := built.Load() - before; n != 2 {
+		t.Errorf("run built %d benchmarks, want 2 (the run and its chaos twin)", n)
+	}
 	if res.Chaos == nil || !res.Chaos.OK() {
 		t.Fatalf("chaos twin failed under columnar execution:\n%v", res.Chaos)
 	}

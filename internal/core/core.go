@@ -125,17 +125,6 @@ type Config struct {
 	// for federated, on for the optimized engines). Results are
 	// bit-identical either way.
 	Columnar string
-	// Shards > 0 partitions the engine into region shards (at most one
-	// per business region, so 1..3): each shard runs its region's sources,
-	// consolidation extraction and mart refresh on an independent engine
-	// instance; the warehouse is fed through a deterministic cross-shard
-	// merge barrier in fixed region order. 0 keeps the single-engine path.
-	Shards int
-	// ShardVerify, after a successful sharded run, executes an unsharded
-	// twin of the same configuration and asserts the integrated data is
-	// byte-identical — the shard count must be invisible in the warehouse,
-	// views and marts. Requires Shards > 0.
-	ShardVerify bool
 	// MVCheckEvery > 0 recomputes every OrdersMV from scratch every N-th
 	// period — a typed fold of Orders into (count, sum) per (Year, Month,
 	// Custkey), independent of the refresh procedure — and aborts on any
@@ -282,7 +271,7 @@ func New(cfg Config) (*Benchmark, error) {
 	// Fair-share attribution: a tenant handle from the service governor,
 	// or a private handle registered for this run's lifetime, or (both
 	// unset) the process-wide default handle. The engine hands it to every
-	// instance context; shard children inherit it through the options copy.
+	// instance context.
 	schedHandle = cfg.Scheduler
 	if schedHandle == nil && cfg.SchedShare > 0 {
 		schedHandle = sched.Default().Register("", cfg.SchedShare)
@@ -306,21 +295,6 @@ func New(cfg Config) (*Benchmark, error) {
 	}
 	if cfg.Resilience != nil && eng.Resilient() == nil {
 		eng.SetResilience(cfg.Resilience, mon.Resilience())
-	}
-	// Sharding partitions the fully configured engine (columnar and
-	// resilience settings propagate into the shard children at
-	// creation) and must precede the durability layer so a resume restores
-	// into the sharded shape.
-	if cfg.Shards < 0 {
-		return fail(fmt.Errorf("core: Shards must be >= 0, got %d", cfg.Shards))
-	}
-	if cfg.Shards > 0 && eng.ShardCount() == 0 {
-		if err := eng.SetShards(cfg.Shards); err != nil {
-			return fail(err)
-		}
-	}
-	if cfg.ShardVerify && cfg.Shards == 0 {
-		return fail(fmt.Errorf("core: ShardVerify requires Shards > 0"))
 	}
 	// The durability layer comes up after the engine is fully configured
 	// (a resume restores into the final shape) but before fault injection
@@ -421,9 +395,6 @@ type Result struct {
 	// Chaos is the fault-transparency verification against the fault-free
 	// twin run (nil unless Config.ChaosVerify).
 	Chaos *driver.VerificationResult
-	// Shard is the shard-transparency verification against the unsharded
-	// twin run (nil unless Config.ShardVerify).
-	Shard *driver.VerificationResult
 }
 
 // Run executes the benchmark (work phase, plus post-phase verification
@@ -455,42 +426,33 @@ func (b *Benchmark) RunContext(ctx context.Context) (*Result, error) {
 	b.recordSchedStats()
 	res := &Result{Stats: stats, Report: b.mon.Analyze()}
 	if b.cfg.ChaosVerify {
-		res.Chaos, err = b.runTwin(ctx, "chaos", "identical to fault-free run", func(*Config) {})
-	}
-	if err == nil && b.cfg.ShardVerify {
-		res.Shard, err = b.runTwin(ctx, "shard", "identical to unsharded run",
-			func(c *Config) { c.Shards = 0 })
-	}
-	if err != nil {
-		return nil, err
+		if res.Chaos, err = b.runChaosTwin(ctx); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }
 
-// runTwin executes a twin of this benchmark's configuration — same seed,
-// scale, engine, periods, layout and shards, changed
-// only by mutate — and compares the integrated data of both runs. The
-// twin runs on the fast clock with no fault injection, tracing,
-// durability, progress callbacks or verification of its own, so it never
-// starts a twin itself. label names the twin in the result's checks and in
-// errors; okInfo describes a passing comparison.
-func (b *Benchmark) runTwin(ctx context.Context, label, okInfo string, mutate func(*Config)) (*driver.VerificationResult, error) {
+// runChaosTwin executes a fault-free twin of this benchmark's
+// configuration — same seed, scale, engine, periods and layout — and
+// compares the integrated data of both runs. The twin runs on the fast
+// clock with no fault injection, tracing, durability, progress callbacks
+// or verification of its own, so it never starts a twin itself.
+func (b *Benchmark) runChaosTwin(ctx context.Context) (*driver.VerificationResult, error) {
 	cfg := b.cfg
-	cfg.FaultRate, cfg.FaultSeed, cfg.Resilience = 0, 0, nil
-	cfg.ChaosVerify, cfg.ShardVerify = false, false
+	cfg.FaultRate, cfg.FaultSeed, cfg.Resilience, cfg.ChaosVerify = 0, 0, nil, false
 	cfg.FastClock, cfg.Verify, cfg.MVCheckEvery, cfg.Trace = true, false, 0, false
 	cfg.OnPeriod, cfg.DrainCheck = nil, nil
 	cfg.WALDir, cfg.CheckpointEvery, cfg.Resume, cfg.CrashAt = "", 0, false, ""
-	mutate(&cfg)
 	twin, err := New(cfg)
 	if err == nil {
 		defer twin.Close()
 		_, err = twin.RunContext(ctx)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: %s twin run: %w", label, err)
+		return nil, fmt.Errorf("core: chaos twin run: %w", err)
 	}
-	return driver.VerifyTwin(label, okInfo, b.scn, twin.scn), nil
+	return driver.VerifyTwin("chaos", "identical to fault-free run", b.scn, twin.scn), nil
 }
 
 // recordSchedStats publishes the run's fair-share scheduler accounting

@@ -65,7 +65,7 @@ type recoveryController struct {
 
 // checkpointMeta derives the configuration key that locks a checkpoint
 // directory to one run setup.
-func checkpointMeta(cfg Config, eng *engine.Engine) checkpoint.Meta {
+func checkpointMeta(cfg Config) checkpoint.Meta {
 	return checkpoint.Meta{
 		Seed:      int64(cfg.Seed),
 		Datasize:  cfg.Datasize,
@@ -73,7 +73,6 @@ func checkpointMeta(cfg Config, eng *engine.Engine) checkpoint.Meta {
 		Dist:      cfg.Distribution,
 		Engine:    cfg.Engine,
 		Periods:   cfg.Periods,
-		Shards:    eng.ShardCount(),
 	}
 }
 
@@ -87,7 +86,7 @@ func newRecoveryController(cfg Config, scn *scenario.Scenario, eng *engine.Engin
 		return nil, nil, err
 	}
 	rc := &recoveryController{
-		mgr: mgr, meta: checkpointMeta(cfg, eng), every: cfg.CheckpointEvery,
+		mgr: mgr, meta: checkpointMeta(cfg), every: cfg.CheckpointEvery,
 		scn: scn, eng: eng, mon: mon, plan: plan,
 	}
 	if rc.every <= 0 {

@@ -19,19 +19,16 @@ import (
 // tests pin that across the optimization toggles and both transports.
 
 // schedTwinVariant is one cell of the toggle matrix the bit-identity
-// contract is pinned on: vectorized kernels, and region sharding (where
-// shard children inherit the parent handle).
-// Every cell keeps the vectorized kernels on: only they and union-distinct
-// submit work to the scheduler, because the row kernels are sequential.
+// contract is pinned on. Every cell keeps the vectorized kernels on: only
+// they and union-distinct submit work to the scheduler, because the row
+// kernels are sequential.
 type schedTwinVariant struct {
 	name     string
 	columnar string
-	shards   int
 }
 
 var schedTwinVariants = []schedTwinVariant{
-	{"columnar", "on", 0},
-	{"sharded", "on", 2},
+	{"columnar", "on"},
 }
 
 func schedTwinConfig(v schedTwinVariant, remote bool) Config {
@@ -44,7 +41,7 @@ func schedTwinConfig(v schedTwinVariant, remote bool) Config {
 		// would otherwise leave the presets sequential and the twin
 		// comparison vacuous.
 		EngineOptions: &engine.Options{PlanCache: true, Parallelism: 4},
-		Columnar:      v.columnar, Shards: v.shards,
+		Columnar:      v.columnar,
 	}
 }
 
@@ -144,7 +141,7 @@ func TestSchedShareRegistersOwnedHandle(t *testing.T) {
 func TestSchedulerCancellationNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		cfg := schedTwinConfig(schedTwinVariants[1], false)
+		cfg := schedTwinConfig(schedTwinVariants[0], false)
 		cfg.Periods = 20
 		cfg.SchedShare = 1
 		b, err := New(cfg)

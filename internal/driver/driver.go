@@ -74,10 +74,6 @@ type PeriodStats struct {
 	// FailuresByProcess attributes the failures to process types (only
 	// types with failures appear).
 	FailuresByProcess map[string]int
-	// EventsByShard attributes the period's E1 dispatches to the region
-	// shard that executed them (key 0 is the coordinator; nil on an
-	// unsharded engine).
-	EventsByShard map[int]int
 	// MVCheck is the wall time of the period's OrdersMV check (see
 	// Config.MVCheckEvery); 0 when the check did not run this period.
 	MVCheck time.Duration
@@ -410,7 +406,6 @@ func (c *Client) runPeriod(ctx context.Context, k int, prep prepared, rp resumeP
 	failures := 0
 	executed := 0
 	failuresBy := make(map[string]int)
-	eventsByShard := make(map[int]int)
 	var logMu sync.Mutex
 	var logErr error
 	noteLogErr := func(err error) {
@@ -477,10 +472,8 @@ func (c *Client) runPeriod(ctx context.Context, k int, prep prepared, rp resumeP
 			*buf = msg[:0]
 		}
 		msgBufs.Put(buf)
-		shard := c.eng.ShardOf(in.Process)
 		mu.Lock()
 		executed++
-		eventsByShard[shard]++
 		if err != nil {
 			failures++
 			failuresBy[in.Process]++
@@ -497,7 +490,7 @@ func (c *Client) runPeriod(ctx context.Context, k int, prep prepared, rp resumeP
 		}
 		if c.cfg.Trace != nil {
 			c.cfg.Trace.add(TraceEvent{
-				Period: k, Process: in.Process, Seq: in.Seq, Shard: shard,
+				Period: k, Process: in.Process, Seq: in.Seq,
 				ScheduledTU: in.OffsetTU, Dispatched: dispatched,
 				Completed: time.Since(epoch), Failed: err != nil,
 			})
@@ -510,12 +503,6 @@ func (c *Client) runPeriod(ctx context.Context, k int, prep prepared, rp resumeP
 		out := PeriodStats{Events: executed, Failures: failures}
 		if len(failuresBy) > 0 {
 			out.FailuresByProcess = mergeFailures(failuresBy, nil)
-		}
-		if len(eventsByShard) > 1 || (len(eventsByShard) == 1 && eventsByShard[0] == 0) {
-			out.EventsByShard = make(map[int]int, len(eventsByShard))
-			for s, n := range eventsByShard {
-				out.EventsByShard[s] = n
-			}
 		}
 		return out
 	}

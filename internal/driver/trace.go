@@ -21,7 +21,6 @@ type TraceEvent struct {
 	Period      int
 	Process     string
 	Seq         int
-	Shard       int           // 1-based executing region shard; 0 for coordinator/unsharded
 	ScheduledTU float64       // Table II deadline, tu from stream start
 	Dispatched  time.Duration // actual dispatch offset from the stream epoch
 	Completed   time.Duration // completion offset from the stream epoch
@@ -73,7 +72,7 @@ func (t *Trace) ByProcess(id string) []TraceEvent {
 
 // WriteCSV emits the trace for offline inspection.
 func (t *Trace) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "period,process,seq,shard,scheduled_tu,dispatched_us,completed_us,failed"); err != nil {
+	if _, err := fmt.Fprintln(w, "period,process,seq,scheduled_tu,dispatched_us,completed_us,failed"); err != nil {
 		return err
 	}
 	for _, e := range t.Events() {
@@ -81,8 +80,8 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 		if e.Failed {
 			failed = 1
 		}
-		if _, err := fmt.Fprintf(w, "%d,%s,%d,%d,%.2f,%d,%d,%d\n",
-			e.Period, e.Process, e.Seq, e.Shard, e.ScheduledTU,
+		if _, err := fmt.Fprintf(w, "%d,%s,%d,%.2f,%d,%d,%d\n",
+			e.Period, e.Process, e.Seq, e.ScheduledTU,
 			e.Dispatched.Microseconds(), e.Completed.Microseconds(), failed); err != nil {
 			return err
 		}

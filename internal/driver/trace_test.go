@@ -88,7 +88,7 @@ func TestTraceCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.Contains(out, "P04,1,0,2.00") || !strings.Contains(out, ",1\n") {
+	if !strings.Contains(out, "P04,1,2.00") || !strings.Contains(out, ",1\n") {
 		t.Errorf("csv: %s", out)
 	}
 }

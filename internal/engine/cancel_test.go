@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,8 +12,7 @@ import (
 // TestCancelledExecuteDoesNotBlockOnSaturatedPool pins the cancellation
 // hardening of the worker-pool acquisition: an ExecuteContext whose
 // context is already cancelled must return promptly even when every
-// worker slot is taken, instead of queueing behind them forever (the
-// cross-shard merge barrier waits on exactly these acquisitions).
+// worker slot is taken, instead of queueing behind them forever.
 func TestCancelledExecuteDoesNotBlockOnSaturatedPool(t *testing.T) {
 	f := newFixture(t)
 	e, err := New("pool", Options{PlanCache: true, MaxWorkers: 1}, processes.MustNew(), f.s.Gateway(), f.mon)
@@ -40,57 +37,4 @@ func TestCancelledExecuteDoesNotBlockOnSaturatedPool(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled ExecuteContext blocked on the saturated worker pool")
 	}
-}
-
-// TestShardedCancellationTearsDownMergeBarrier pins the shard-controller
-// teardown: cancelling a run mid-scatter must surface the cancellation
-// (not a "missing batch" merge error) and leave no scatter goroutines
-// stuck on worker-pool acquisitions.
-func TestShardedCancellationTearsDownMergeBarrier(t *testing.T) {
-	f := newFixture(t)
-	before := runtime.NumGoroutine()
-	e, err := New("sharded", Options{PlanCache: true, MaxWorkers: 1}, processes.MustNew(), f.s.Gateway(), f.mon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.SetShards(3); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// P13 runs the coordinator whose scatter hook fans the region
-	// extractions out to the shard children; with the context already
-	// cancelled every child acquisition must abort instead of queueing.
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = e.ExecuteContext(ctx, "P13", nil, 0)
-		}(i)
-	}
-	waited := make(chan struct{})
-	go func() { wg.Wait(); close(waited) }()
-	select {
-	case <-waited:
-	case <-time.After(10 * time.Second):
-		t.Fatal("sharded executions did not wind down after cancellation")
-	}
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Errorf("execution %d: unexpected error %v", i, err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+3 {
-			return
-		}
-		runtime.Gosched()
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("goroutine leak after sharded cancellation: before=%d after=%d", before, runtime.NumGoroutine())
 }

@@ -89,21 +89,10 @@ type Options struct {
 	// reference engine (its per-row temp-table architecture is the point of
 	// comparison), on for the optimized presets.
 	Columnar bool
-	// Shards > 0 partitions the scenario by business region: each shard
-	// runs its region's group A/B processes, consolidation extraction and
-	// mart refresh on an independent child engine (own worker pool and
-	// plan cache), while the warehouse is fed through a deterministic
-	// cross-shard merge barrier that folds the region batches in the
-	// fixed schema.Regions order. The final state is byte-identical for
-	// every shard count (see shard.go). At most one shard per region; 0
-	// keeps the single-engine execution path.
-	Shards int
 	// Scheduler attributes this engine's parallel kernel work to a
 	// fair-share handle on the process-wide work-stealing scheduler
-	// (internal/sched) — one handle per tenant in service mode. Shard
-	// children inherit the parent's handle (the options copy in shard.go
-	// carries it), so a sharded tenant still competes as one client. Nil
-	// uses the process-wide default handle.
+	// (internal/sched) — one handle per tenant in service mode. Nil uses
+	// the process-wide default handle.
 	Scheduler *sched.Handle
 }
 
@@ -138,9 +127,6 @@ type Engine struct {
 
 	planBuilds atomic.Uint64 // statistics: number of plan compilations
 	instances  atomic.Uint64
-
-	shards  *shardController // non-nil after SetShards
-	shardID int              // 1-based for shard children, 0 otherwise
 }
 
 // pendingExec carries the monitor record and cancellation context of a
@@ -206,16 +192,6 @@ func New(name string, opts Options, defs *processes.Definitions, ext mtm.Externa
 	if opts.Resilience != nil {
 		e.SetResilience(opts.Resilience, mon.Resilience())
 	}
-	if opts.Shards != 0 {
-		if opts.Shards < 0 {
-			return nil, fmt.Errorf("engine: Shards must be non-negative, got %d", opts.Shards)
-		}
-		n := opts.Shards
-		e.opts.Shards = 0
-		if err := e.SetShards(n); err != nil {
-			return nil, err
-		}
-	}
 	return e, nil
 }
 
@@ -234,15 +210,6 @@ func (e *Engine) SetResilience(p *fault.Policy, rec fault.Recorder) {
 	e.ext = e.resilient
 	eff := e.resilient.Policy()
 	e.opts.Resilience = &eff
-	if e.shards != nil {
-		// The shards share the parent's gateway — swap in the new wrapper
-		// so their external calls retry and trip through the same layer.
-		for _, c := range e.shards.children {
-			c.ext = e.resilient
-			c.resilient = e.resilient
-			c.opts.Resilience = &eff
-		}
-	}
 }
 
 // Resilient returns the resilience wrapper (nil when resilience is off).
@@ -253,24 +220,11 @@ func (e *Engine) Resilient() *fault.Resilient { return e.resilient }
 // synchronized with in-flight instances.
 func (e *Engine) SetColumnar(on bool) {
 	e.opts.Columnar = on
-	if e.shards != nil {
-		for _, c := range e.shards.children {
-			c.SetColumnar(on)
-		}
-	}
 }
 
-// SetScheduler overrides the Options.Scheduler handle, propagating it to
-// existing shard children so the whole tenant keeps one fair-share
-// identity. Call before Execute traffic starts.
-func (e *Engine) SetScheduler(h *sched.Handle) {
-	e.opts.Scheduler = h
-	if e.shards != nil {
-		for _, c := range e.shards.children {
-			c.SetScheduler(h)
-		}
-	}
-}
+// SetScheduler overrides the Options.Scheduler handle. Call before
+// Execute traffic starts.
+func (e *Engine) SetScheduler(h *sched.Handle) { e.opts.Scheduler = h }
 
 // LayoutCount tallies how often an operator executed on each layout.
 type LayoutCount struct {
@@ -288,16 +242,6 @@ func (e *Engine) LayoutStats() map[string]LayoutCount {
 		out[k] = v
 	}
 	e.layoutMu.Unlock()
-	if e.shards != nil {
-		for _, c := range e.shards.children {
-			for k, v := range c.LayoutStats() {
-				m := out[k]
-				m.Row += v.Row
-				m.Columnar += v.Columnar
-				out[k] = m
-			}
-		}
-	}
 	return out
 }
 
@@ -385,11 +329,6 @@ func (e *Engine) Close() error {
 	e.mu.Unlock()
 	for _, b := range batchers {
 		b.close()
-	}
-	if e.shards != nil {
-		for _, c := range e.shards.children {
-			_ = c.Close()
-		}
 	}
 	return nil
 }
@@ -480,17 +419,9 @@ func (e *Engine) Options() Options { return e.opts }
 // Monitor returns the attached monitor.
 func (e *Engine) Monitor() *monitor.Monitor { return e.mon }
 
-// Stats returns cumulative engine statistics (including all shards).
+// Stats returns cumulative engine statistics.
 func (e *Engine) Stats() (instances, planBuilds uint64) {
-	instances, planBuilds = e.instances.Load(), e.planBuilds.Load()
-	if e.shards != nil {
-		for _, c := range e.shards.children {
-			i, p := c.Stats()
-			instances += i
-			planBuilds += p
-		}
-	}
-	return instances, planBuilds
+	return e.instances.Load(), e.planBuilds.Load()
 }
 
 // queueSchema is the Fig. 9 message queue table layout:
@@ -541,11 +472,6 @@ func (e *Engine) Execute(processID string, input []byte, period int) error {
 // it aborts the instance's external calls (the resilience layer layers
 // its per-invoke deadline on top).
 func (e *Engine) ExecuteContext(ctx context.Context, processID string, input []byte, period int) error {
-	if sc := e.shards; sc != nil {
-		if handled, err := sc.route(ctx, processID, input, period); handled {
-			return err
-		}
-	}
 	p := e.defs.ByID(processID)
 	if p == nil {
 		return fmt.Errorf("engine: unknown process %q", processID)
@@ -576,9 +502,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, processID string, input []b
 }
 
 // acquireWorker takes a worker-pool slot, honouring the caller's context:
-// a cancelled instance must not block forever on a saturated pool (the
-// cross-shard merge barrier waits on these acquisitions, so an unbounded
-// wait here would wedge the whole barrier).
+// a cancelled instance must not block forever on a saturated pool.
 func (e *Engine) acquireWorker(ctx context.Context) error {
 	if e.workers == nil {
 		return nil
@@ -610,7 +534,7 @@ var sqlBufPool = sync.Pool{New: func() any {
 // the insert trigger run the process. The INSERT statement is assembled on
 // a pooled buffer.
 func (e *Engine) executeViaQueue(ctx context.Context, p *mtm.Process, input []byte, period int) error {
-	rec := e.mon.StartInstanceShard(p.ID, period, e.shardID)
+	rec := e.mon.StartInstance(p.ID, period)
 	e.instances.Add(1)
 	serStart := time.Now()
 	tid := e.queueSeq.Add(1)
@@ -650,7 +574,7 @@ func appendSQLQuoted(dst, payload []byte) []byte {
 
 // runInstanceRecorded wraps runInstance with a fresh monitor record.
 func (e *Engine) runInstanceRecorded(ctx context.Context, p *mtm.Process, input *mtm.Message, period int) error {
-	rec := e.mon.StartInstanceShard(p.ID, period, e.shardID)
+	rec := e.mon.StartInstance(p.ID, period)
 	e.instances.Add(1)
 	err := e.runInstance(ctx, p, input, rec)
 	rec.Finish(err)
@@ -704,16 +628,10 @@ func (e *Engine) runInstance(goctx context.Context, p *mtm.Process, input *mtm.M
 // with synchronous triggers this equals the number of processed messages
 // retained for audit.
 func (e *Engine) QueueDepth() int {
-	depth := 0
-	if e.opts.QueueTrigger {
-		depth = e.internal.TotalRows()
+	if !e.opts.QueueTrigger {
+		return 0
 	}
-	if e.shards != nil {
-		for _, c := range e.shards.children {
-			depth += c.QueueDepth()
-		}
-	}
-	return depth
+	return e.internal.TotalRows()
 }
 
 // ResetQueues marks a period boundary: pending micro-batches are drained —
@@ -732,10 +650,5 @@ func (e *Engine) ResetQueues() {
 	}
 	if e.opts.QueueTrigger {
 		e.internal.TruncateAll()
-	}
-	if e.shards != nil {
-		for _, c := range e.shards.children {
-			c.ResetQueues()
-		}
 	}
 }

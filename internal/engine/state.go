@@ -26,10 +26,6 @@ type State struct {
 	DeadLetters []DeadLetterState
 	DLQDropped  uint64
 	Internal    []byte // relational snapshot of the queue tables
-	// Shards carries the region shards' states in shard order (empty for
-	// an unsharded engine). Each shard owns its own queue tables, so
-	// recovery must restore them individually.
-	Shards []*State
 }
 
 // CheckpointState captures the engine's durable state. Call it at a
@@ -54,15 +50,6 @@ func (e *Engine) CheckpointState() (*State, error) {
 			return nil, fmt.Errorf("engine: checkpoint internal db: %w", err)
 		}
 		st.Internal = blob
-	}
-	if e.shards != nil {
-		for _, c := range e.shards.children {
-			cs, err := c.CheckpointState()
-			if err != nil {
-				return nil, err
-			}
-			st.Shards = append(st.Shards, cs)
-		}
 	}
 	return st, nil
 }
@@ -98,21 +85,6 @@ func (e *Engine) RestoreState(st *State) error {
 		}
 		if _, err := e.internal.Restore(st.Internal); err != nil {
 			return fmt.Errorf("engine: restore internal db: %w", err)
-		}
-	}
-	if len(st.Shards) > 0 || e.shards != nil {
-		if e.shards == nil || len(st.Shards) != len(e.shards.children) {
-			got := 0
-			if e.shards != nil {
-				got = len(e.shards.children)
-			}
-			return fmt.Errorf("engine: checkpoint carries %d shard states but engine %q runs %d shards",
-				len(st.Shards), e.name, got)
-		}
-		for i, cs := range st.Shards {
-			if err := e.shards.children[i].RestoreState(cs); err != nil {
-				return fmt.Errorf("engine: shard %d: %w", i+1, err)
-			}
 		}
 	}
 	return nil

@@ -76,12 +76,6 @@ type Record struct {
 	seq     uint64 // global finish order (merge-on-read key)
 	Process string
 	Period  int
-	// Shard is the 1-based region shard that executed the instance; 0 for
-	// unsharded engines and the coordinating parent. The sharded ledger is
-	// merged on read exactly like the per-process shards — Records()
-	// interleaves every engine's instances in global finish order — and
-	// Analyze additionally breaks the totals down per shard.
-	Shard   int
 	Start   time.Time
 	End     time.Time
 	Cc      time.Duration // communication costs
@@ -165,14 +159,6 @@ type InstanceRecorder struct {
 
 // StartInstance begins measuring a process instance.
 func (m *Monitor) StartInstance(process string, period int) *InstanceRecorder {
-	return m.StartInstanceShard(process, period, 0)
-}
-
-// StartInstanceShard is StartInstance with the executing region shard
-// stamped on the record (0 = unsharded / coordinator). The activity
-// ledger stays global across shards: normalization must still remove the
-// inflation caused by co-scheduled instances, wherever they ran.
-func (m *Monitor) StartInstanceShard(process string, period, shard int) *InstanceRecorder {
 	now := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -180,7 +166,7 @@ func (m *Monitor) StartInstanceShard(process string, period, shard int) *Instanc
 	m.active++
 	return &InstanceRecorder{
 		m:         m,
-		rec:       &Record{Process: process, Period: period, Shard: shard, Start: now},
+		rec:       &Record{Process: process, Period: period, Start: now},
 		startArea: m.area,
 	}
 }
@@ -280,25 +266,10 @@ type ProcessStats struct {
 	P50, P95 float64
 }
 
-// ShardStats aggregates the instances one region shard executed (shard 0
-// collects the unsharded/coordinator instances).
-type ShardStats struct {
-	Shard     int
-	Instances int
-	Failures  int
-	// TotalTU is the sum of the instances' normalized costs, in tu — the
-	// load-balance view across shards.
-	TotalTU float64
-}
-
 // Report is the full benchmark analysis.
 type Report struct {
 	TimeScale float64
 	Stats     []ProcessStats // ordered by process id
-
-	// Shards breaks the executed instances down per region shard (empty
-	// unless some instance ran on a shard).
-	Shards []ShardStats
 
 	// Resilience totals (0 when the resilience layer is off).
 	Retries     uint64
@@ -369,37 +340,6 @@ func (m *Monitor) AnalyzeFrom(minPeriod int) *Report {
 		}
 		rep.Stats = append(rep.Stats, st)
 	}
-	sharded := false
-	byShard := make(map[int]*ShardStats)
-	for _, r := range records {
-		if r.Period < minPeriod {
-			continue
-		}
-		if r.Shard != 0 {
-			sharded = true
-		}
-		ss := byShard[r.Shard]
-		if ss == nil {
-			ss = &ShardStats{Shard: r.Shard}
-			byShard[r.Shard] = ss
-		}
-		ss.Instances++
-		if r.Err != nil {
-			ss.Failures++
-		} else {
-			ss.TotalTU += m.msToTU(r.Normalized())
-		}
-	}
-	if sharded {
-		shardIDs := make([]int, 0, len(byShard))
-		for id := range byShard {
-			shardIDs = append(shardIDs, id)
-		}
-		sort.Ints(shardIDs)
-		for _, id := range shardIDs {
-			rep.Shards = append(rep.Shards, *byShard[id])
-		}
-	}
 	rep.Retries, rep.Trips, rep.DeadLetters = m.res.Totals()
 	rep.Replayed, rep.DedupHits, rep.Checkpoints = m.rcv.Totals()
 	rep.Sched = m.schedStats.get()
@@ -468,17 +408,6 @@ func (r *Report) String() string {
 	for _, s := range r.Stats {
 		out += fmt.Sprintf("%-6s %6d %5d %12.2f %12.2f %10.2f %10.2f %10.2f %8.2f\n",
 			s.Process, s.Instances, s.Failures, s.NAVG, s.NAVGPlus, s.AvgCc, s.AvgCm, s.AvgCp, s.AvgConc)
-	}
-	if len(r.Shards) > 0 {
-		out += "Shards:"
-		for _, s := range r.Shards {
-			label := fmt.Sprintf("shard %d", s.Shard)
-			if s.Shard == 0 {
-				label = "coordinator"
-			}
-			out += fmt.Sprintf(" [%s: %d inst %d fail %.1f tu]", label, s.Instances, s.Failures, s.TotalTU)
-		}
-		out += "\n"
 	}
 	if r.Retries > 0 || r.Trips > 0 || r.DeadLetters > 0 {
 		out += fmt.Sprintf("Resilience: retries=%d breaker-trips=%d dead-letters=%d\n",

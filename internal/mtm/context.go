@@ -142,7 +142,7 @@ func (c *Context) SetColumnar(on bool) { c.columnar = on }
 func (c *Context) Columnar() bool { return c.columnar }
 
 // SetScheduler attributes this instance's parallel kernel work to the
-// given scheduler handle (the owning tenant/shard) for fair-share
+// given scheduler handle (the owning tenant or run) for fair-share
 // arbitration on the process-wide pool; Data attaches it to every
 // operator input. Nil means the default handle. Set once before Run —
 // it is not synchronized.

@@ -13,7 +13,7 @@ import "repro/internal/sched"
 //
 // Every parallel call is a task set submitted to the process-wide
 // work-stealing scheduler in internal/sched, attributed to the relation's
-// handle (the tenant/shard that owns it — see Relation.WithPool) or the
+// handle (the tenant or run that owns it — see Relation.WithPool) or the
 // default handle when the relation was never attributed. The caller
 // always participates in its own set, so kernels never block waiting for
 // a worker, and tiny submissions (par <= 1 or fewer than two tasks) run

@@ -16,7 +16,7 @@ type Relation struct {
 	rows   []Row
 	// pool attributes the relation's parallel kernel work (the vectorized
 	// kernels and UnionDistinctPar) to a scheduler handle (the owning
-	// tenant/shard) for fair-share arbitration. Nil falls back to the
+	// tenant or run) for fair-share arbitration. Nil falls back to the
 	// process-wide default handle.
 	pool *sched.Handle
 }

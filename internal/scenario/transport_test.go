@@ -27,9 +27,10 @@ func httpGoroutines() (client, server int) {
 }
 
 // TestRemoteCloseLeavesNoConnections pins why the ws and dbproto clients
-// need no owned http.Transport: after concurrent gateway calls have filled
-// the shared transport's idle pool, closing the scenario's servers ends
-// every pooled connection on both sides, promptly.
+// need no transport per scenario: they share httpsrv's own bounded pool,
+// and after concurrent gateway calls have filled its idle connections,
+// closing the scenario's servers ends every pooled connection on both
+// sides, promptly.
 func TestRemoteCloseLeavesNoConnections(t *testing.T) {
 	s, err := New(Options{RemoteDB: true})
 	if err != nil {

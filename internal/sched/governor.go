@@ -10,16 +10,17 @@ import (
 var ErrStopped = errors.New("sched: governor stopped")
 
 // Governor admits clients onto a scheduler by fair-share capacity: the
-// sum of admitted weights never exceeds Capacity. It replaces the fixed
-// goroutine-per-slot worker model — admission is a weight reservation,
-// not a goroutine — so a host can bound CONCURRENT WORK (the shared pool
-// runs at most MaxWorkers goroutines regardless of tenant count) while
-// still letting heavier tenants reserve a larger share.
+// sum of admitted weights never exceeds Capacity, which is set once at
+// construction. It replaces the fixed goroutine-per-slot worker model —
+// admission is a weight reservation, not a goroutine — so a host can
+// bound CONCURRENT WORK (the shared pool runs at most MaxWorkers
+// goroutines regardless of tenant count) while still letting heavier
+// tenants reserve a larger share.
 type Governor struct {
 	s    *Scheduler
+	cap  float64 // immutable after NewGovernor, so read without mu
 	mu   sync.Mutex
 	cond *sync.Cond
-	cap  float64
 	used float64
 }
 
@@ -38,31 +39,13 @@ func NewGovernor(s *Scheduler, capacity float64) *Governor {
 func (g *Governor) Scheduler() *Scheduler { return g.s }
 
 // Capacity returns the total admissible weight.
-func (g *Governor) Capacity() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.cap
-}
+func (g *Governor) Capacity() float64 { return g.cap }
 
 // Used returns the weight currently admitted.
 func (g *Governor) Used() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.used
-}
-
-// SetCapacity resizes the admissible weight (clamped to >= 1). Growing
-// wakes waiters immediately; shrinking never evicts admitted clients,
-// the governor simply stops admitting until Releases bring the used
-// weight back under the new capacity.
-func (g *Governor) SetCapacity(capacity float64) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	g.mu.Lock()
-	g.cap = capacity
-	g.mu.Unlock()
-	g.cond.Broadcast()
 }
 
 // Admit blocks until weight fits under the capacity, then registers and
@@ -75,10 +58,10 @@ func (g *Governor) Admit(name string, weight float64, stop <-chan struct{}) (*Ha
 	if weight <= 0 {
 		weight = 1
 	}
-	g.mu.Lock()
 	if weight > g.cap {
 		weight = g.cap
 	}
+	g.mu.Lock()
 	// A stop-watcher converts the channel close into a broadcast so the
 	// cond wait below wakes; it exits as soon as Admit returns.
 	done := make(chan struct{})
@@ -104,11 +87,6 @@ func (g *Governor) Admit(name string, weight float64, stop <-chan struct{}) (*Ha
 			return nil, ErrStopped
 		}
 		g.cond.Wait()
-		// Capacity may have been resized while waiting; re-clamp so a
-		// request heavier than the shrunken governor stays admissible.
-		if weight > g.cap {
-			weight = g.cap
-		}
 	}
 	if stopped(stop) {
 		g.mu.Unlock()

@@ -1,11 +1,11 @@
 // Package sched is the process-wide morsel scheduler: one bounded pool of
-// worker goroutines shared by every engine, tenant and shard in the
-// process, replacing the per-engine worker gates that made N tenants
-// oversubscribe a small host by N x GOMAXPROCS.
+// worker goroutines shared by every engine and tenant in the process,
+// replacing the per-engine worker gates that made N tenants oversubscribe
+// a small host by N x GOMAXPROCS.
 //
 // Execution model (work stealing):
 //
-//   - A client registers a Handle (one per tenant/shard/benchmark) and
+//   - A client registers a Handle (one per tenant or benchmark) and
 //     submits morsel task sets through Handle.Run. The submitting
 //     goroutine ALWAYS participates in its own set, so a submission never
 //     blocks waiting for pool capacity — with zero free workers the

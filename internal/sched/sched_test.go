@@ -406,91 +406,3 @@ func TestClosedHandleRunsInline(t *testing.T) {
 		}
 	}
 }
-
-// TestGovernorSetCapacity: raising the capacity wakes blocked waiters,
-// and shrinking it below a waiter's weight re-clamps the request so the
-// waiter stays admissible instead of hanging forever.
-func TestGovernorSetCapacity(t *testing.T) {
-	s := New(2)
-	g := NewGovernor(s, 2)
-	h1, err := g.Admit("a", 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	admitted := make(chan *Handle)
-	go func() {
-		h, err := g.Admit("b", 1, nil)
-		if err != nil {
-			t.Error(err)
-		}
-		admitted <- h
-	}()
-	select {
-	case <-admitted:
-		t.Fatal("admission succeeded beyond capacity")
-	case <-time.After(50 * time.Millisecond):
-	}
-	g.SetCapacity(3) // grow: the waiter fits now
-	var h2 *Handle
-	select {
-	case h2 = <-admitted:
-	case <-time.After(2 * time.Second):
-		t.Fatal("SetCapacity growth did not wake the waiter")
-	}
-	if got := g.Capacity(); got != 3 {
-		t.Fatalf("capacity = %v, want 3", got)
-	}
-	g.Release(h1)
-	g.Release(h2)
-
-	// Shrink below an incoming request's weight: the request must clamp
-	// to the new capacity once room frees, not wait for impossible room.
-	g.SetCapacity(1)
-	hBig, err := g.Admit("big", 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := hBig.Weight(); w != 1 {
-		t.Fatalf("weight after shrink = %v, want clamp to 1", w)
-	}
-	g.Release(hBig)
-
-	// A waiter blocked behind an admitted tenant survives a shrink that
-	// lands below its own weight: the re-clamp inside the wait loop keeps
-	// it admissible once the blocker releases.
-	hHold, err := g.Admit("hold", 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.SetCapacity(4)
-	go func() {
-		h, err := g.Admit("w", 4, nil)
-		if err != nil {
-			t.Error(err)
-		}
-		admitted <- h
-	}()
-	select {
-	case <-admitted:
-		t.Fatal("weight-4 admission fit beside the holder")
-	case <-time.After(50 * time.Millisecond):
-	}
-	g.SetCapacity(1)
-	g.Release(hHold)
-	select {
-	case h := <-admitted:
-		if w := h.Weight(); w != 1 {
-			t.Fatalf("re-clamped waiter weight = %v, want 1", w)
-		}
-		g.Release(h)
-	case <-time.After(2 * time.Second):
-		t.Fatal("shrink stranded the blocked waiter")
-	}
-
-	// Capacity clamps to >= 1.
-	g.SetCapacity(0)
-	if got := g.Capacity(); got != 1 {
-		t.Fatalf("capacity after SetCapacity(0) = %v, want 1", got)
-	}
-}

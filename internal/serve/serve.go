@@ -359,8 +359,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining: not admitting runs", http.StatusServiceUnavailable)
 		return
 	}
+	// Unknown fields are refused, so a spec naming a removed option fails
+	// loudly instead of running without it. Recovery of tenant.json keeps
+	// the tolerant decoder.
 	var spec RunSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		http.Error(w, "bad spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}

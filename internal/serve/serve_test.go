@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -288,6 +290,39 @@ func TestBadSpecFailsInIsolation(t *testing.T) {
 	if want := soloDigest(t, good); tm.Digest != want {
 		t.Errorf("good tenant digest diverged next to a failing neighbour")
 	}
+}
+
+// TestSubmitRejectsUnknownFields pins that a spec naming an option the
+// service does not know (such as the removed "incremental" and "shards")
+// is refused with a 400 that names the field instead of running without
+// it, while a spec with every field the CI service and soak jobs send is
+// still accepted.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	_, ts := daemon(t, Options{MaxTenants: 1})
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	for field, body := range map[string]string{
+		"incremental": `{"name":"inc","datasize":0.004,"periods":1,"fast_clock":true,"incremental":true}`,
+		"shards":      `{"name":"sh","datasize":0.004,"periods":1,"fast_clock":true,"shards":2}`,
+	} {
+		code, msg := post(body)
+		if code != http.StatusBadRequest || !strings.Contains(msg, `"`+field+`"`) {
+			t.Errorf("%s: got %d %q, want 400 naming the field", field, code, msg)
+		}
+	}
+	code, msg := post(`{"name":"ci","datasize":0.004,"periods":1,"seed":21,"fast_clock":true,"engine":"pipeline","share":2}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("CI-shaped spec: got %d %q, want 202", code, msg)
+	}
+	waitState(t, ts, "ci", 60*time.Second, StateDone)
 }
 
 // TestDrainCheckpointsAndRestartResumes is the graceful-drain contract

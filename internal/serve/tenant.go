@@ -61,7 +61,6 @@ type RunSpec struct {
 	BreakerThreshold float64 `json:"breaker_threshold,omitempty"`
 
 	Columnar        string `json:"columnar,omitempty"`
-	Shards          int    `json:"shards,omitempty"`
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
 
 	// Share is the tenant's fair-share weight on the daemon's shared
@@ -153,7 +152,6 @@ func (t *tenant) coreConfig(checkpointEvery int, h *sched.Handle, drain func() b
 		FaultRate:       t.spec.FaultRate,
 		FaultSeed:       t.spec.FaultSeed,
 		Columnar:        t.spec.Columnar,
-		Shards:          t.spec.Shards,
 		WALDir:          filepath.Join(t.dir, "wal"),
 		CheckpointEvery: checkpointEvery,
 		Resume:          t.hasCheckpoint(),
